@@ -346,14 +346,11 @@ def gamma_fit(mu1: float, mu2: float) -> GammaFit:
 
 
 def outage_probability(fit: GammaFit, x):
-    """P(SNR <= x) under the gamma approximation; vectorized in x."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
-        raise DomainError("SNR threshold must be >= 0")
-    out = np.array([reg_lower_gamma(fit.alpha_g, fit.beta_g * v) for v in arr])
-    return float(out[0]) if scalar else out
+    """P(SNR <= x) under the gamma approximation; vectorized in x.
+
+    Raises :class:`DomainError` for a negative or NaN threshold.
+    """
+    return reg_lower_gamma(fit.alpha_g, fit.beta_g * np.asarray(x, dtype=float))
 
 
 def se_bound(mu1: float) -> float:

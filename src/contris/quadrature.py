@@ -3,9 +3,9 @@
 The 7-15 Gauss-Kronrod pair is applied per segment; whenever the summed
 error estimate misses the tolerance, the segments carrying more than their
 share of the budget are bisected.  Integrands must be vectorized: every
-refinement round evaluates all new nodes in a single call, which matters
-because the hypergeometric kernel in the moment integrals is itself an
-iterated series.
+refinement round evaluates all new nodes in a single call, which keeps the
+per-call overhead of the array kernels in the moment integrals (the
+hypergeometric kernel and the correlation models) off the node count.
 
 Integrals with interior derivative kinks should be fed through
 :func:`integrate_piecewise` with the kink locations as breakpoints.

@@ -279,6 +279,20 @@ class TestOutage:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) >= -1e-13)
 
+    def test_monotone_on_dense_grid(self):
+        fit = gamma_fit(6.0, 40.0)
+        vals = outage_probability(fit, fit.mean * np.logspace(-1.0, 1.0, 10_000))
+        assert np.all(np.isfinite(vals)) and vals.min() >= 0.0 and vals.max() <= 1.0
+        assert np.all(np.diff(vals) >= 0.0)
+
+    def test_infinite_threshold(self):
+        assert outage_probability(GammaFit(2.0, 1.0), math.inf) == 1.0
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, [1.0, math.nan]])
+    def test_domain(self, x):
+        with pytest.raises(DomainError):
+            outage_probability(GammaFit(2.0, 1.0), x)
+
 
 class TestBoundAndHardening:
     def test_se_bound_values(self):

@@ -90,6 +90,15 @@ class TestBesselJ0:
         assert out.shape == xs.shape
         assert out[0] == 1.0
 
+    def test_blocked_array_matches_scalar_calls_bit_for_bit(self):
+        # 9e4 elements span three evaluation blocks and both branches; every
+        # 7th element is checked, which keeps the scalar calls to ~1 s
+        xs = np.random.default_rng(7).uniform(-40.0, 40.0, (300, 300))
+        out = bessel_j0(xs)
+        assert out.shape == xs.shape
+        sample = xs.ravel()[::7]
+        assert np.array_equal(out.ravel()[::7], [bessel_j0(x) for x in sample])
+
 
 class TestGauss2F1Half:
     def test_at_origin(self):
@@ -101,11 +110,28 @@ class TestGauss2F1Half:
     def test_at_quarter(self):
         assert gauss_2f1_half(0.25) == pytest.approx(F21_AT_QUARTER, rel=1e-10)
 
+    @staticmethod
+    def mp_2f1(zs):
+        with mp.workdps(40):
+            return np.array([float(mp.hyp2f1(-0.5, -0.5, 1, float(z))) for z in zs])
+
     def test_near_endpoint(self):
-        for z in [0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10]:
-            with mp.workdps(40):
-                ref = float(mp.hyp2f1(-0.5, -0.5, 1, z))
-            assert gauss_2f1_half(z) == pytest.approx(ref, rel=1e-10)
+        zs = 1.0 - 10.0 ** -np.arange(1.0, 17.0)
+        assert np.max(np.abs(gauss_2f1_half(zs) / self.mp_2f1(zs) - 1.0)) <= 1e-14
+
+    def test_mpmath_dense_grid(self):
+        zs = np.linspace(0.0, 1.0, 1025)
+        assert np.max(np.abs(gauss_2f1_half(zs) / self.mp_2f1(zs) - 1.0)) <= 1e-14
+
+    def test_blocked_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        zs = rng.uniform(0.0, 1.0, (300, 300))
+        zs[0, :49] = 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 49)
+        zs[0, 49:51] = (0.0, 1.0)
+        out = gauss_2f1_half(zs)
+        assert out.shape == zs.shape
+        sample = zs.ravel()[::7]
+        assert np.array_equal(out.ravel()[::7], [gauss_2f1_half(z) for z in sample])
 
     def test_monotone_and_bounded(self):
         zs = np.linspace(0.0, 1.0, 513)
@@ -120,7 +146,7 @@ class TestGauss2F1Half:
         lo, hi = min(z1, z2), max(z1, z2)
         assert gauss_2f1_half(lo) <= gauss_2f1_half(hi) + 1e-13
 
-    @pytest.mark.parametrize("z", [-0.1, 1.1, -1e-9])
+    @pytest.mark.parametrize("z", [-0.1, 1.1, -1e-9, math.nan, [0.5, math.nan]])
     def test_domain(self, z):
         with pytest.raises(DomainError):
             gauss_2f1_half(z)
@@ -146,13 +172,32 @@ class TestRegLowerGamma:
         assert all(b >= c - 1e-13 for b, c in zip(vals[1:], vals[:-1]))
         assert vals[-1] >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 17.0, 250.0])
+    def test_array_against_mpmath(self, a):
+        xs = np.concatenate([
+            np.linspace(0.0, a + 40.0 * math.sqrt(a), 300),
+            a * np.logspace(-6.0, 0.5, 200)])
+        with mp.workdps(40):
+            ref = np.array([float(mp.gammainc(a, 0, x, regularized=True)) for x in xs])
+        assert np.max(np.abs(reg_lower_gamma(a, xs) - ref)) <= 2e-13
+
+    @pytest.mark.parametrize("a", [0.3, 2.7, 250.0])
+    def test_array_matches_scalar_calls(self, a):
+        xs = np.linspace(0.0, a + 40.0 * math.sqrt(a), 400).reshape(20, 20)
+        out = reg_lower_gamma(a, xs)
+        assert out.shape == xs.shape
+        assert np.array_equal(out, [[reg_lower_gamma(a, float(x)) for x in row] for row in xs])
+        assert isinstance(reg_lower_gamma(a, 1.0), float)
+
+    def test_at_infinity(self):
+        assert reg_lower_gamma(2.0, math.inf) == 1.0
+        assert np.array_equal(reg_lower_gamma(0.3, [0.0, math.inf]), [0.0, 1.0])
+
     def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
+        for a, x in [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (2.0, math.nan),
+                     (math.nan, 1.0), (math.inf, 1.0), (2.0, [1.0, math.nan])]:
+            with pytest.raises(DomainError):
+                reg_lower_gamma(a, x)
 
 
 class TestLogGamma:
