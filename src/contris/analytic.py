@@ -51,6 +51,7 @@ __all__ = [
     "mean_snr_from_terms",
     "second_moment_snr",
     "second_moment_snr_from_terms",
+    "snr_moments",
     "gamma_fit",
     "outage_probability",
     "se_bound",
@@ -335,6 +336,17 @@ def second_moment_snr_from_terms(terms: LinkTerms, moments: YMoments) -> float:
 def second_moment_snr(cfg: SystemConfig, moments: YMoments) -> float:
     """Second moment of the optimal SNR for a full system configuration."""
     return second_moment_snr_from_terms(link_terms(cfg), moments)
+
+
+def snr_moments(cfg: SystemConfig, quad: QuadratureSpec = QuadratureSpec()) -> SnrMoments:
+    """Mean and second moment of the optimal SNR for a full system
+    configuration: link terms, then the Y moments, then the SNR moments."""
+    terms = link_terms(cfg)
+    m1 = moment_m1(cfg.geometry, terms.beta_ur)
+    m2 = moment_m2_iso(cfg.geometry, cfg.correlation, terms.beta_ur, quad)
+    return SnrMoments(
+        mu1=mean_snr_from_terms(terms, m1, m2),
+        mu2=second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2)))
 
 
 def gamma_fit(mu1: float, mu2: float) -> GammaFit:

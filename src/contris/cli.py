@@ -30,7 +30,16 @@ exponents)::
       "output_path": "results.csv"
     }
 
-Gain-like fields accept either a linear key or a ``_db`` twin.  Scenarios:
+Every default is stated once, in ``default_system()``, ``default_sweep()``
+and the field defaults of :class:`ExperimentConfig`; ``load_config``
+replaces only the fields a document gives.  Each value takes the type of
+the default it replaces (a finite float, an integral int or a string), and
+gain-like fields accept either a linear key or a ``_db`` twin.  Any
+malformed document raises :class:`ConfigError`.
+
+Each scenario is a spec in ``_SCENARIOS``: its sweep axes, outermost first,
+any values held fixed, the Monte Carlo seed salt, its columns and a row
+function.  One loop runs a spec over the product of its axes:
 
 * ``fig2``   mean SNR vs surface area, analytic vs Monte Carlo, both models
 * ``fig3``   spectral-efficiency bound vs simulated mean rate over kappa/area
@@ -38,38 +47,41 @@ Gain-like fields accept either a linear key or a ``_db`` twin.  Scenarios:
 * ``fig5``   channel-hardening CV^2 per layout setup, area and kappa
 * ``table1`` bound vs dominant-error-term summary over kappa
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (a
+malformed config, or a configured model outside the library's domain).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
+import functools
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .analytic import (
-    YMoments,
     cv_squared,
     dominant_error_term,
     gamma_fit,
-    mean_snr_from_terms,
-    link_terms,
     moment_m1,
     moment_m2_iso,
     moment_m2_quad4,
     outage_probability,
     rect_distance_pdf,
     se_bound,
-    second_moment_snr_from_terms,
+    snr_moments,
 )
-from .errors import ConfigError, ContrisError
+from .errors import ConfigError, ContrisError, DomainError
 from .mcsim import (
     empirical_cdf,
     make_grid,
@@ -105,8 +117,6 @@ SETUPS = {
     "C": (1.0, 5.0, 27.0),
 }
 
-SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "table1")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -120,24 +130,53 @@ class SweepSpec:
         if not any((self.areas_m2, self.kappas, self.aspects,
                     self.thresholds_db, self.setups)):
             raise ConfigError("sweep must define at least one parameter list")
+        if not all(v > 0.0 for v in self.areas_m2 + self.aspects):
+            raise ConfigError("sweep areas and aspects must be positive")
+        if not all(v >= 0.0 for v in self.kappas):
+            raise ConfigError("sweep kappas must be >= 0")
         for name in self.setups:
             if name not in SETUPS and name != "custom":
                 raise ConfigError(f"unknown setup {name!r}; expected A/B/C/custom")
 
 
+def default_system() -> SystemConfig:
+    wavelength = SPEED_OF_LIGHT / DEFAULT_CARRIER_HZ
+    return SystemConfig(
+        geometry=SurfaceGeometry(width_m=math.sqrt(0.4), height_m=math.sqrt(0.4)),
+        correlation=IsotropicCorrelation(CorrelationKind.JAKES, 1.0, wavelength),
+        bs_correlation=IsotropicCorrelation(CorrelationKind.JAKES, 1.0, wavelength),
+        link=LinkBudget(),
+        array=BsArrayConfig(),
+        transmit_snr=1e12,
+    )
+
+
+def default_sweep() -> SweepSpec:
+    return SweepSpec(
+        areas_m2=(0.1, 0.2, 0.3, 0.4),
+        kappas=(0.0, 0.1, 0.5, 1.0),
+        aspects=(1.0, 20.0),
+        thresholds_db=tuple(20.0 + 0.5 * i for i in range(41)),
+        setups=("A", "B", "C"),
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    system: SystemConfig
-    grid: tuple  # (nx, ny) applied to each sweep geometry
-    replicates: int
-    seed: int
-    sweep: SweepSpec
+    system: SystemConfig = dataclasses.field(default_factory=default_system)
+    grid: tuple = (32, 32)  # (nx, ny) applied to each sweep geometry
+    replicates: int = 10000
+    seed: int = 20260810
+    sweep: SweepSpec = dataclasses.field(default_factory=default_sweep)
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.seed < 0:
+        if not (len(self.grid) == 2
+                and all(isinstance(n, numbers.Integral) and n >= 2 for n in self.grid)):
+            raise ConfigError("grid must have at least 2 points per axis")
+        if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 1):
+            raise ConfigError("replicates must be an integer >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError("seed must be a nonnegative integer")
 
 
@@ -170,8 +209,15 @@ class ValidationReport:
 # config loading
 # --------------------------------------------------------------------------
 
+# fields that a document may also give in decibels, as <name>_db
+_GAINS = {"c0", "transmit_snr"}
+
+
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{db} dB is out of range") from None
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -180,130 +226,126 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
 
 
-def _gain_field(section: dict, key: str, default_linear: float) -> float:
-    if key in section and f"{key}_db" in section:
-        raise ConfigError(f"give either {key} or {key}_db, not both")
-    if f"{key}_db" in section:
-        return _db_to_linear(float(section[f"{key}_db"]))
-    return float(section.get(key, default_linear))
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
-def _correlation_from(section: dict, wavelength: float, where: str) -> IsotropicCorrelation:
-    _check_keys(section, {"kind", "kappa"}, where)
-    kind = str(section.get("kind", "jakes")).lower()
+def _value(value, like, where: str):
+    """``value`` as the type of ``like``: a string, an integral int or a
+    finite float."""
+    if isinstance(like, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(like, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
     try:
-        kind = CorrelationKind(kind)
-    except ValueError:
-        raise ConfigError(f"correlation kind must be sinc or jakes, got {kind!r}")
-    return IsotropicCorrelation(kind=kind, kappa=float(section.get("kappa", 1.0)),
-                                wavelength_m=wavelength)
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
 
 
-def default_system() -> SystemConfig:
-    wavelength = SPEED_OF_LIGHT / DEFAULT_CARRIER_HZ
-    return SystemConfig(
-        geometry=SurfaceGeometry(width_m=math.sqrt(0.4), height_m=math.sqrt(0.4)),
-        correlation=IsotropicCorrelation(CorrelationKind.JAKES, 1.0, wavelength),
-        bs_correlation=IsotropicCorrelation(CorrelationKind.JAKES, 1.0, wavelength),
-        link=LinkBudget(),
-        array=BsArrayConfig(),
-        transmit_snr=1e12,
-    )
+def _merge(obj, doc, where: str):
+    """``obj`` with the fields that ``doc`` gives replaced.
+
+    Nested dataclasses merge section by section, enums parse from their
+    value and every other field goes through :func:`_value`.
+    """
+    section = _section(doc, where)
+    # the wavelength comes from system.carrier_hz or system.wavelength_m
+    names = {f.name for f in dataclasses.fields(obj)} - {"wavelength_m"}
+    _check_keys(section, names | {f"{name}_db" for name in names & _GAINS}, where)
+    changes = {}
+    for key, value in section.items():
+        name, at = key.removesuffix("_db"), f"{where}.{key}"
+        if name in changes:
+            raise ConfigError(f"give either {name} or {name}_db, not both")
+        current = getattr(obj, name)
+        if dataclasses.is_dataclass(current):
+            changes[name] = _merge(current, value, at)
+        elif isinstance(current, enum.Enum):
+            try:
+                changes[name] = type(current)(str(value).lower())
+            except ValueError:
+                choices = [member.value for member in type(current)]
+                raise ConfigError(f"{at} must be one of {choices}, got {value!r}") from None
+        else:
+            number = _value(value, current, at)
+            changes[name] = number if name == key else _db_to_linear(number)
+    try:
+        return dataclasses.replace(obj, **changes)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def default_sweep() -> SweepSpec:
-    return SweepSpec(
-        areas_m2=(0.1, 0.2, 0.3, 0.4),
-        kappas=(0.0, 0.1, 0.5, 1.0),
-        aspects=(1.0, 20.0),
-        thresholds_db=tuple(20.0 + 0.5 * i for i in range(41)),
-        setups=("A", "B", "C"),
-    )
+def _wavelength(sys_doc: dict, default: float) -> float:
+    """The wavelength given by ``carrier_hz`` or ``wavelength_m``, popped
+    from the system section."""
+    if "carrier_hz" in sys_doc and "wavelength_m" in sys_doc:
+        raise ConfigError("give either carrier_hz or wavelength_m, not both")
+    if "carrier_hz" in sys_doc:
+        carrier = _value(sys_doc.pop("carrier_hz"), DEFAULT_CARRIER_HZ, "system.carrier_hz")
+        if not carrier > 0.0:
+            raise ConfigError("system.carrier_hz must be positive")
+        wavelength = SPEED_OF_LIGHT / carrier
+    else:
+        wavelength = _value(sys_doc.pop("wavelength_m", default), default,
+                            "system.wavelength_m")
+    if not 0.0 < wavelength < math.inf:
+        raise ConfigError("the wavelength must be positive and finite")
+    return wavelength
 
 
 def load_config(document: dict | None) -> ExperimentConfig:
-    """Build an experiment config from a parsed JSON document."""
-    doc = dict(document or {})
-    _check_keys(doc, {"system", "grid", "replicates", "seed", "sweep", "output_path"},
-                "top level")
+    """Build an experiment config from a parsed JSON document.
 
-    sys_doc = dict(doc.get("system", {}))
-    _check_keys(sys_doc, {"geometry", "carrier_hz", "wavelength_m", "correlation",
-                          "bs_correlation", "link", "array",
-                          "transmit_snr", "transmit_snr_db"}, "system")
-    if "wavelength_m" in sys_doc and "carrier_hz" in sys_doc:
-        raise ConfigError("give either carrier_hz or wavelength_m, not both")
-    if "wavelength_m" in sys_doc:
-        wavelength = float(sys_doc["wavelength_m"])
-    else:
-        wavelength = SPEED_OF_LIGHT / float(sys_doc.get("carrier_hz", DEFAULT_CARRIER_HZ))
+    Starts from the defaults and replaces only what the document gives;
+    raises :class:`ConfigError` on any malformed document.
+    """
+    doc = _section({} if document is None else document, "config")
+    base = ExperimentConfig()
+    _check_keys(doc, {f.name for f in dataclasses.fields(base)}, "top level")
 
-    geo_doc = dict(sys_doc.get("geometry", {}))
-    _check_keys(geo_doc, {"width_m", "height_m"}, "system.geometry")
-    geometry = SurfaceGeometry(
-        width_m=float(geo_doc.get("width_m", math.sqrt(0.4))),
-        height_m=float(geo_doc.get("height_m", math.sqrt(0.4))))
+    sys_doc = dict(_section(doc.get("system", {}), "system"))
+    wavelength = _wavelength(sys_doc, base.system.correlation.wavelength_m)
+    if "correlation" in sys_doc:
+        # the array's correlation follows the surface's unless given
+        sys_doc.setdefault("bs_correlation", sys_doc["correlation"])
+    system = _merge(_with_correlation(base.system, wavelength_m=wavelength),
+                    sys_doc, "system")
 
-    link_doc = dict(sys_doc.get("link", {}))
-    _check_keys(link_doc, {"c0", "c0_db", "d0_m", "alpha_d", "alpha_rb", "alpha_ur",
-                           "d_rb_m", "d_x_m", "d_y_m"}, "system.link")
-    link = LinkBudget(
-        c0=_gain_field(link_doc, "c0", 1e-3),
-        d0_m=float(link_doc.get("d0_m", 1.0)),
-        alpha_d=float(link_doc.get("alpha_d", 6.0)),
-        alpha_rb=float(link_doc.get("alpha_rb", 1.7)),
-        alpha_ur=float(link_doc.get("alpha_ur", 1.7)),
-        d_rb_m=float(link_doc.get("d_rb_m", 5.0)),
-        d_x_m=float(link_doc.get("d_x_m", 30.0)),
-        d_y_m=float(link_doc.get("d_y_m", 1.0)))
-
-    arr_doc = dict(sys_doc.get("array", {}))
-    _check_keys(arr_doc, {"m_x", "m_z", "spacing_wavelengths",
-                          "theta_a_rad", "phi_a_rad"}, "system.array")
-    array = BsArrayConfig(
-        m_x=int(arr_doc.get("m_x", 8)),
-        m_z=int(arr_doc.get("m_z", 4)),
-        spacing_wavelengths=float(arr_doc.get("spacing_wavelengths", 0.5)),
-        theta_a_rad=float(arr_doc.get("theta_a_rad", math.pi / 2.0)),
-        phi_a_rad=float(arr_doc.get("phi_a_rad", math.pi / 4.0)))
-
-    system = SystemConfig(
-        geometry=geometry,
-        correlation=_correlation_from(dict(sys_doc.get("correlation", {})),
-                                      wavelength, "system.correlation"),
-        bs_correlation=_correlation_from(dict(sys_doc.get("bs_correlation",
-                                                          sys_doc.get("correlation", {}))),
-                                         wavelength, "system.bs_correlation"),
-        link=link,
-        array=array,
-        transmit_snr=_gain_field(sys_doc, "transmit_snr", 1e12))
-
-    grid_doc = dict(doc.get("grid", {}))
+    grid_doc = _section(doc.get("grid", {}), "grid")
     _check_keys(grid_doc, {"nx", "ny"}, "grid")
-    grid = (int(grid_doc.get("nx", 32)), int(grid_doc.get("ny", 32)))
-    if min(grid) < 2:
-        raise ConfigError("grid must have at least 2 points per axis")
+    grid = tuple(_value(grid_doc.get(axis, n), n, f"grid.{axis}")
+                 for axis, n in zip(("nx", "ny"), base.grid))
 
+    sweep = base.sweep
     if "sweep" in doc:
-        sweep_doc = dict(doc["sweep"])
-        _check_keys(sweep_doc, {"areas_m2", "kappas", "aspects",
-                                "thresholds_db", "setups"}, "sweep")
-        sweep = SweepSpec(
-            areas_m2=tuple(float(v) for v in sweep_doc.get("areas_m2", ())),
-            kappas=tuple(float(v) for v in sweep_doc.get("kappas", ())),
-            aspects=tuple(float(v) for v in sweep_doc.get("aspects", ())),
-            thresholds_db=tuple(float(v) for v in sweep_doc.get("thresholds_db", ())),
-            setups=tuple(str(v) for v in sweep_doc.get("setups", ())))
-    else:
-        sweep = default_sweep()
+        sweep_doc = _section(doc["sweep"], "sweep")
+        _check_keys(sweep_doc, {f.name for f in dataclasses.fields(SweepSpec)}, "sweep")
+        for key, values in sweep_doc.items():
+            if not isinstance(values, list):
+                raise ConfigError(f"sweep.{key} must be a JSON list")
+        # each list's entries take the type of the default list's entries
+        sweep = SweepSpec(**{
+            key: tuple(_value(v, getattr(base.sweep, key)[0], f"sweep.{key}[{i}]")
+                       for i, v in enumerate(values))
+            for key, values in sweep_doc.items()})
 
-    return ExperimentConfig(
-        system=system,
-        grid=grid,
-        replicates=int(doc.get("replicates", 10000)),
-        seed=int(doc.get("seed", 20260810)),
-        sweep=sweep,
-        output_path=doc.get("output_path"))
+    changes = {key: _value(doc[key], getattr(base, key), key)
+               for key in ("replicates", "seed") if key in doc}
+    if doc.get("output_path") is not None:
+        changes["output_path"] = _value(doc["output_path"], "", "output_path")
+    return dataclasses.replace(base, system=system, grid=grid, sweep=sweep, **changes)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -336,184 +378,140 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 # --------------------------------------------------------------------------
-# scenario helpers
+# scenarios
 # --------------------------------------------------------------------------
 
-def _square_geometry(area: float, aspect: float = 1.0) -> SurfaceGeometry:
-    width = math.sqrt(aspect * area)
-    return SurfaceGeometry(width_m=width, height_m=area / width)
-
-
-def _with_kappa(system: SystemConfig, kappa: float) -> SystemConfig:
+def _with_correlation(system: SystemConfig, **changes) -> SystemConfig:
+    """``system`` with ``changes`` applied to both correlation models."""
     return dataclasses.replace(
         system,
-        correlation=dataclasses.replace(system.correlation, kappa=kappa),
-        bs_correlation=dataclasses.replace(system.bs_correlation, kappa=kappa))
+        correlation=dataclasses.replace(system.correlation, **changes),
+        bs_correlation=dataclasses.replace(system.bs_correlation, **changes))
 
 
-def _with_model(system: SystemConfig, kind: CorrelationKind) -> SystemConfig:
-    return dataclasses.replace(
-        system,
-        correlation=dataclasses.replace(system.correlation, kind=kind),
-        bs_correlation=dataclasses.replace(system.bs_correlation, kind=kind))
-
-
-def _with_setup(system: SystemConfig, name: str) -> SystemConfig:
-    if name == "custom":
-        return system
-    d_y, d_rb, d_x = SETUPS[name]
-    return dataclasses.replace(
-        system,
-        link=dataclasses.replace(system.link, d_y_m=d_y, d_rb_m=d_rb, d_x_m=d_x))
+def _point(system: SystemConfig, area=None, aspect=1.0, model=None, kappa=None,
+           setup=None) -> SystemConfig:
+    """``system`` at one sweep point; an axis left at None keeps its
+    configured value, as does the ``custom`` setup."""
+    if area is not None:
+        width = math.sqrt(aspect * area)
+        system = dataclasses.replace(
+            system, geometry=SurfaceGeometry(width_m=width, height_m=area / width))
+    if model is not None:
+        system = _with_correlation(system, kind=model)
+    if kappa is not None:
+        system = _with_correlation(system, kappa=kappa)
+    if setup not in (None, "custom"):
+        d_y, d_rb, d_x = SETUPS[setup]
+        system = dataclasses.replace(system, link=dataclasses.replace(
+            system.link, d_y_m=d_y, d_rb_m=d_rb, d_x_m=d_x))
+    return system
 
 
 def _point_seed(master: int, salt: int, index: int) -> int:
     return int(np.random.SeedSequence((master, salt, index)).generate_state(1, np.uint64)[0])
 
 
-def _snr_moments(system: SystemConfig, quad: QuadratureSpec = QuadratureSpec()):
-    """Analytic (mu1, mu2) for one system point."""
-    terms = link_terms(system)
-    m1 = moment_m1(system.geometry, terms.beta_ur)
-    m2 = moment_m2_iso(system.geometry, system.correlation, terms.beta_ur, quad)
-    moments = YMoments.from_first_two(m1, m2)
-    mu1 = mean_snr_from_terms(terms, m1, m2)
-    mu2 = second_moment_snr_from_terms(terms, moments)
-    return mu1, mu2
-
-
-def _mc_batch(cfg: ExperimentConfig, system: SystemConfig, seed: int):
-    grid = make_grid(system.geometry, cfg.grid[0], cfg.grid[1])
-    return run_replicates(system, grid, cfg.replicates, seed)
-
-
 def _provenance(cfg: ExperimentConfig) -> dict:
     return {"config_sha256": config_hash(cfg), "seed": cfg.seed, "version": __version__}
 
 
-# --------------------------------------------------------------------------
-# scenarios
-# --------------------------------------------------------------------------
-
-def _require(sweep_values, what: str, scenario: str):
-    if not sweep_values:
-        raise ConfigError(f"scenario {scenario} requires a {what} sweep")
-    return sweep_values
+def _fig2_rows(cfg, point, snr, batch):
+    s = batch.summaries()
+    return [(point["area"], point["model"].value, snr.mu1, s.mean_snr, s.se_mean_snr)]
 
 
-def _run_fig2(cfg: ExperimentConfig) -> ResultTable:
-    areas = _require(cfg.sweep.areas_m2, "areas_m2", "fig2")
+def _fig3_rows(cfg, point, snr, batch):
+    return [(point["kappa"], point["area"], se_bound(snr.mu1),
+             batch.summaries().mean_se_bits, dominant_error_term(snr.mu1, snr.mu2))]
+
+
+def _fig4_rows(cfg, point, snr, batch):
+    fit = gamma_fit(snr.mu1, snr.mu2)
+    ecdf = empirical_cdf(batch)
     rows = []
-    for i, area in enumerate(areas):
-        for j, kind in enumerate((CorrelationKind.SINC, CorrelationKind.JAKES)):
-            system = _with_model(dataclasses.replace(
-                cfg.system, geometry=_square_geometry(area)), kind)
-            mu1, _ = _snr_moments(system)
-            batch = _mc_batch(cfg, system, _point_seed(cfg.seed, 2, 2 * i + j))
-            summary = batch.summaries()
-            rows.append((area, kind.value, mu1, summary.mean_snr, summary.se_mean_snr))
-    return ResultTable(
-        columns=("area", "model", "mu1_analytic", "mean_snr_mc", "se_mc"),
-        rows=tuple(rows), provenance=_provenance(cfg))
+    for t_db in cfg.sweep.thresholds_db:
+        x = _db_to_linear(t_db)
+        rows.append((point["area"], point["aspect"], point["model"].value, t_db,
+                     outage_probability(fit, x), ecdf(x)))
+    return rows
 
 
-def _run_fig3(cfg: ExperimentConfig) -> ResultTable:
-    kappas = _require(cfg.sweep.kappas, "kappas", "fig3")
-    areas = _require(cfg.sweep.areas_m2, "areas_m2", "fig3")
-    rows = []
-    index = 0
-    for kappa in kappas:
-        for area in areas:
-            system = _with_kappa(dataclasses.replace(
-                cfg.system, geometry=_square_geometry(area)), kappa)
-            mu1, mu2 = _snr_moments(system)
-            batch = _mc_batch(cfg, system, _point_seed(cfg.seed, 3, index))
-            index += 1
-            rows.append((kappa, area, se_bound(mu1),
-                         batch.summaries().mean_se_bits,
-                         dominant_error_term(mu1, mu2)))
-    return ResultTable(
-        columns=("kappa", "area", "se_bound", "mean_se_mc", "det"),
-        rows=tuple(rows), provenance=_provenance(cfg))
+def _fig5_rows(cfg, point, snr, batch):
+    s = batch.summaries()
+    return [(point["area"], point["kappa"], point["setup"],
+             cv_squared(snr.mu1, snr.mu2), s.var_snr / s.mean_snr ** 2)]
 
 
-def _run_fig4(cfg: ExperimentConfig) -> ResultTable:
-    areas = _require(cfg.sweep.areas_m2, "areas_m2", "fig4")
-    aspects = _require(cfg.sweep.aspects, "aspects", "fig4")
-    thresholds_db = _require(cfg.sweep.thresholds_db, "thresholds_db", "fig4")
-    rows = []
-    index = 0
-    for area in areas:
-        for aspect in aspects:
-            for kind in (CorrelationKind.SINC, CorrelationKind.JAKES):
-                system = _with_model(dataclasses.replace(
-                    cfg.system, geometry=_square_geometry(area, aspect)), kind)
-                mu1, mu2 = _snr_moments(system)
-                fit = gamma_fit(mu1, mu2)
-                batch = _mc_batch(cfg, system, _point_seed(cfg.seed, 4, index))
-                index += 1
-                ecdf = empirical_cdf(batch)
-                for t_db in thresholds_db:
-                    x = _db_to_linear(t_db)
-                    rows.append((area, aspect, kind.value, t_db,
-                                 outage_probability(fit, x), ecdf(x)))
-    return ResultTable(
+def _table1_rows(cfg, point, snr, batch):
+    seb, det = se_bound(snr.mu1), dominant_error_term(snr.mu1, snr.mu2)
+    return [(point["kappa"], seb, det, 100.0 * det / seb)]
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One result table: a row function over the product of sweep axes."""
+
+    axes: tuple              # point axes, outermost first
+    columns: tuple
+    rows: Callable           # (cfg, point, SnrMoments, batch or None) -> rows
+    salt: int | None = None  # Monte Carlo seed salt; None draws no batch
+    fixed: tuple = ()        # (axis, value) pairs held at every point
+    lists: tuple = ()        # further sweep lists the rows read
+
+
+# the sweep list behind each point axis; the model axis runs over both models
+_AXIS_SWEEPS = {"area": "areas_m2", "aspect": "aspects", "kappa": "kappas",
+                "setup": "setups"}
+_MODELS = (CorrelationKind.SINC, CorrelationKind.JAKES)
+
+_SCENARIOS = {
+    "fig2": _Scenario(
+        axes=("area", "model"), salt=2, rows=_fig2_rows,
+        columns=("area", "model", "mu1_analytic", "mean_snr_mc", "se_mc")),
+    "fig3": _Scenario(
+        axes=("kappa", "area"), salt=3, rows=_fig3_rows,
+        columns=("kappa", "area", "se_bound", "mean_se_mc", "det")),
+    "fig4": _Scenario(
+        axes=("area", "aspect", "model"), lists=("thresholds_db",), salt=4,
+        rows=_fig4_rows,
         columns=("area", "aspect", "model", "snr_threshold_db",
-                 "outage_gamma", "outage_empirical"),
-        rows=tuple(rows), provenance=_provenance(cfg))
-
-
-def _run_fig5(cfg: ExperimentConfig) -> ResultTable:
-    setups = _require(cfg.sweep.setups, "setups", "fig5")
-    areas = _require(cfg.sweep.areas_m2, "areas_m2", "fig5")
-    kappas = _require(cfg.sweep.kappas, "kappas", "fig5")
-    rows = []
-    index = 0
-    for setup in setups:
-        for area in areas:
-            for kappa in kappas:
-                system = _with_kappa(_with_setup(dataclasses.replace(
-                    _with_model(cfg.system, CorrelationKind.SINC),
-                    geometry=_square_geometry(area)), setup), kappa)
-                mu1, mu2 = _snr_moments(system)
-                batch = _mc_batch(cfg, system, _point_seed(cfg.seed, 5, index))
-                index += 1
-                summary = batch.summaries()
-                rows.append((area, kappa, setup, cv_squared(mu1, mu2),
-                             summary.var_snr / summary.mean_snr ** 2))
-    return ResultTable(
-        columns=("area", "kappa", "setup", "cv2_analytic", "cv2_mc"),
-        rows=tuple(rows), provenance=_provenance(cfg))
-
-
-def _run_table1(cfg: ExperimentConfig) -> ResultTable:
-    kappas = _require(cfg.sweep.kappas, "kappas", "table1")
-    rows = []
-    for kappa in kappas:
-        system = _with_kappa(cfg.system, kappa)
-        mu1, mu2 = _snr_moments(system)
-        seb = se_bound(mu1)
-        det = dominant_error_term(mu1, mu2)
-        rows.append((kappa, seb, det, 100.0 * det / seb))
-    return ResultTable(
-        columns=("kappa", "seb", "det", "det_over_seb_pct"),
-        rows=tuple(rows), provenance=_provenance(cfg))
-
-
-_SCENARIO_RUNNERS = {
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "table1": _run_table1,
+                 "outage_gamma", "outage_empirical")),
+    "fig5": _Scenario(
+        axes=("setup", "area", "kappa"), fixed=(("model", CorrelationKind.SINC),),
+        salt=5, rows=_fig5_rows,
+        columns=("area", "kappa", "setup", "cv2_analytic", "cv2_mc")),
+    "table1": _Scenario(
+        axes=("kappa",), rows=_table1_rows,
+        columns=("kappa", "seb", "det", "det_over_seb_pct")),
 }
+
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
     """Produce the data table for one named scenario."""
-    if name not in _SCENARIO_RUNNERS:
+    if name not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    return _SCENARIO_RUNNERS[name](cfg)
+    spec = _SCENARIOS[name]
+    sweeps = [_AXIS_SWEEPS[axis] for axis in spec.axes if axis != "model"]
+    for key in sweeps + list(spec.lists):
+        if not getattr(cfg.sweep, key):
+            raise ConfigError(f"scenario {name} requires a {key} sweep")
+    axes = [_MODELS if axis == "model" else getattr(cfg.sweep, _AXIS_SWEEPS[axis])
+            for axis in spec.axes]
+    rows = []
+    for index, values in enumerate(itertools.product(*axes)):
+        point = {**dict(spec.fixed), **dict(zip(spec.axes, values))}
+        system = _point(cfg.system, **point)
+        batch = None
+        if spec.salt is not None:
+            grid = make_grid(system.geometry, cfg.grid[0], cfg.grid[1])
+            batch = run_replicates(system, grid, cfg.replicates,
+                                   _point_seed(cfg.seed, spec.salt, index))
+        rows += spec.rows(cfg, point, snr_moments(system), batch)
+    return ResultTable(columns=spec.columns, rows=tuple(rows),
+                       provenance=_provenance(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -566,23 +564,18 @@ def validate(cfg: ExperimentConfig,
            lambda: abs(summary.mean_y - m1) / summary.se_mean_y, 3.0,
            note=f"n={n_small}")
 
-    mu_cache = {}
-
-    def mu_pair():
-        if "mu" not in mu_cache:
-            mu_cache["mu"] = _snr_moments(system, quad)
-        return mu_cache["mu"]
+    # computed once, by the first check that succeeds in computing it
+    snr = functools.cache(lambda: snr_moments(system, quad))
 
     def jensen_slack():
         # bound minus empirical mean rate, in 3-standard-error units below 0
-        mu1, _ = mu_pair()
         return (summary.mean_se_bits - 3.0 * summary.se_mean_se_bits
-                - se_bound(mu1))
+                - se_bound(snr().mu1))
 
     record("jensen_dominance_slack", jensen_slack, 0.0)
 
     def gamma_round_trip():
-        mu1, mu2 = mu_pair()
+        mu1, mu2 = snr().mu1, snr().mu2
         fit = gamma_fit(mu1, mu2)
         return max(abs(fit.mean - mu1) / mu1,
                    abs(fit.variance - (mu2 - mu1 ** 2)) / (mu2 - mu1 ** 2))
@@ -669,7 +662,7 @@ def main(argv=None) -> int:
                     document = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bad UTF-8 and over-long integers
                 raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = load_config(document)
         overrides = {}
@@ -701,7 +694,9 @@ def main(argv=None) -> int:
         emit(table, cfg.output_path)
         print(f"wrote {len(table.rows)} rows to {cfg.output_path}")
         return 0
-    except ConfigError as exc:
+    except ContrisError as exc:
+        # every library error names a malformed config or a configured model
+        # outside the library's domain
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -29,22 +29,20 @@ Implementation notes
 
 All functions are pure.  Apart from ``log_gamma`` and the shape ``a`` of
 ``reg_lower_gamma``, they accept scalars or numpy arrays of any shape; a
-scalar argument gives a float.  ``gauss_2f1_half`` and ``reg_lower_gamma``
-raise :class:`DomainError` on NaN; P(a, inf) = 1.
+scalar argument gives a float.  ``bessel_j0``, ``gauss_2f1_half`` and
+``reg_lower_gamma`` raise :class:`DomainError` on NaN; J0(+-inf) = 0 and
+P(a, inf) = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "EvalTolerance",
-    "DEFAULT_TOLERANCE",
     "sinc_norm",
     "bessel_j0",
     "gauss_2f1_half",
@@ -55,28 +53,6 @@ __all__ = [
 
 # Exact value of 2F1(-1/2,-1/2;1;1) by Gauss summation: Gamma(1)Gamma(2)/Gamma(3/2)^2.
 GAUSS_2F1_AT_ONE = 4.0 / math.pi
-
-
-@dataclass(frozen=True)
-class EvalTolerance:
-    """Term limit of the series and continued-fraction loops of ``reg_lower_gamma``.
-
-    Only ``max_terms`` is read; those loops stop at a fixed 1e-15 relative
-    step.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_terms: int = 10 ** 6
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("abs_tol and rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-DEFAULT_TOLERANCE = EvalTolerance()
 
 
 def sinc_norm(x):
@@ -118,7 +94,9 @@ def _blockwise(kernel, x):
 
 def _bessel_j0_block(x):
     arr = np.abs(x)
-    out = np.empty_like(arr)
+    if np.isnan(arr).any():
+        raise DomainError("bessel_j0 is undefined at NaN")
+    out = np.zeros_like(arr)  # the limit at +-inf, which the branches skip
 
     small = arr <= _J0_CROSSOVER
     xs = arr[small]
@@ -131,7 +109,8 @@ def _bessel_j0_block(x):
             acc = acc + term
         out[small] = acc
 
-    xl = arr[~small]
+    large = ~small & (arr < math.inf)
+    xl = arr[large]
     if xl.size:
         inv = 1.0 / xl
         inv2 = inv * inv
@@ -142,15 +121,16 @@ def _bessel_j0_block(x):
         for j in range(8):  # odd coefficients a_1 .. a_15, leading term -1/(8x)
             q_ += ((-1) ** (j + 1)) * _HANKEL_A[2 * j + 1] * inv * inv2 ** j
         chi = xl - 0.25 * math.pi
-        out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(chi) - q_ * np.sin(chi))
+        out[large] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(chi) - q_ * np.sin(chi))
     return out
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
-    Even in x; absolute accuracy better than 1e-10 on [0, 1e3].  Accepts
-    scalars or arrays of any shape.
+    Even in x; absolute accuracy better than 1e-10 on [0, 1e3]; 0 at +-inf.
+    Raises :class:`DomainError` on NaN.  Accepts scalars or arrays of any
+    shape.
     """
     return _blockwise(_bessel_j0_block, x)
 
@@ -253,7 +233,12 @@ def _log_prefactor(a: float, x):
             + 0.5 * math.log(t / (2.0 * math.pi)) - math.log(_lanczos_sum(a)))
 
 
-def reg_lower_gamma(a: float, x, tol: EvalTolerance = DEFAULT_TOLERANCE):
+# Term limit of the series and continued-fraction loops of P(a, x); both
+# stop at a fixed 1e-15 relative step long before it.
+_MAX_TERMS = 10 ** 6
+
+
+def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
     A CDF in x for fixed, finite a > 0: zero at x = 0, nondecreasing, 1 at
@@ -281,18 +266,18 @@ def reg_lower_gamma(a: float, x, tol: EvalTolerance = DEFAULT_TOLERANCE):
         idx = np.flatnonzero(mask)
         if idx.size:
             xs = flat[idx]
-            out[idx] = branch(a, xs, np.exp(_log_prefactor(a, xs)), tol.max_terms)
+            out[idx] = branch(a, xs, np.exp(_log_prefactor(a, xs)))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _lower_series(a, x, prefactor, max_terms):
+def _lower_series(a, x, prefactor):
     """P(a, x) = prefactor * sum_k x^k / (a (a+1) ... (a+k)), for x < a + 1."""
     out = np.empty_like(x)
     idx = np.arange(x.size)
     ap = a
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
-    for _ in range(max_terms):
+    for _ in range(_MAX_TERMS):
         ap += 1.0
         term = term * (x / ap)
         total = total + term
@@ -307,7 +292,7 @@ def _lower_series(a, x, prefactor, max_terms):
     return np.minimum(1.0, out * prefactor)
 
 
-def _upper_fraction(a, x, prefactor, max_terms):
+def _upper_fraction(a, x, prefactor):
     """P(a, x) = 1 - Q(a, x), Q from its continued fraction, for x >= a + 1."""
     tiny = 1e-300
     out = np.empty_like(x)
@@ -316,7 +301,7 @@ def _upper_fraction(a, x, prefactor, max_terms):
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
     h = d
-    for i in range(1, max_terms):
+    for i in range(1, _MAX_TERMS):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b

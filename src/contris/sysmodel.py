@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "ChannelGains",
     "derive_link_distances",
     "path_loss_gain",
-    "correlation_at",
     "steering_vector",
     "bs_correlation_matrix",
     "derive_gains",
@@ -58,8 +58,8 @@ class SurfaceGeometry:
     height_m: float
 
     def __post_init__(self):
-        if not (self.width_m > 0.0 and self.height_m > 0.0):
-            raise DomainError("surface dimensions must be positive")
+        if not (0.0 < self.width_m < math.inf and 0.0 < self.height_m < math.inf):
+            raise DomainError("surface dimensions must be positive and finite")
 
     @property
     def area_m2(self) -> float:
@@ -92,10 +92,10 @@ class IsotropicCorrelation:
     wavelength_m: float
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise DomainError("kappa must be >= 0")
-        if not self.wavelength_m > 0.0:
-            raise DomainError("wavelength must be positive")
+        if not 0.0 <= self.kappa < math.inf:
+            raise DomainError("kappa must be finite and >= 0")
+        if not 0.0 < self.wavelength_m < math.inf:
+            raise DomainError("wavelength must be positive and finite")
 
     def rho(self, r_m):
         """Correlation coefficient at separation r_m (meters); vectorized."""
@@ -126,12 +126,12 @@ class LinkBudget:
     d_y_m: float = 1.0
 
     def __post_init__(self):
-        if not (self.c0 > 0.0 and self.d0_m > 0.0):
-            raise DomainError("c0 and d0_m must be positive")
-        if min(self.alpha_d, self.alpha_rb, self.alpha_ur) < 0.0:
-            raise DomainError("path-loss exponents must be >= 0")
-        if min(self.d_rb_m, self.d_x_m, self.d_y_m) < 0.0:
-            raise DomainError("layout distances must be >= 0")
+        if not (0.0 < self.c0 < math.inf and 0.0 < self.d0_m < math.inf):
+            raise DomainError("c0 and d0_m must be positive and finite")
+        if not all(0.0 <= v < math.inf for v in (self.alpha_d, self.alpha_rb, self.alpha_ur)):
+            raise DomainError("path-loss exponents must be finite and >= 0")
+        if not all(0.0 <= v < math.inf for v in (self.d_rb_m, self.d_x_m, self.d_y_m)):
+            raise DomainError("layout distances must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,10 @@ class BsArrayConfig:
     phi_a_rad: float = math.pi / 4.0
 
     def __post_init__(self):
-        if self.m_x < 1 or self.m_z < 1:
-            raise DomainError("antenna counts must be >= 1")
-        if not self.spacing_wavelengths > 0.0:
-            raise DomainError("antenna spacing must be positive")
+        if not all(isinstance(m, numbers.Integral) and m >= 1 for m in (self.m_x, self.m_z)):
+            raise DomainError("antenna counts must be integers >= 1")
+        if not 0.0 < self.spacing_wavelengths < math.inf:
+            raise DomainError("antenna spacing must be positive and finite")
         if not 0.0 <= self.theta_a_rad <= math.pi:
             raise DomainError("elevation must lie in [0, pi]")
         if not -math.pi < self.phi_a_rad <= math.pi:
@@ -171,8 +171,8 @@ class SystemConfig:
     transmit_snr: float
 
     def __post_init__(self):
-        if not self.transmit_snr > 0.0:
-            raise DomainError("transmit_snr must be positive")
+        if not 0.0 < self.transmit_snr < math.inf:
+            raise DomainError("transmit_snr must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,6 @@ def path_loss_gain(c0: float, d0_m: float, d_m: float, alpha: float) -> float:
     if d_m <= 0.0:
         raise DegenerateGeometry("path loss undefined for nonpositive distance")
     return c0 * (d_m / d0_m) ** (-alpha)
-
-
-def correlation_at(model: IsotropicCorrelation, r_m) -> float:
-    """Correlation coefficient between two points separated by r_m meters."""
-    return model.rho(r_m)
 
 
 def _element_positions_wavelengths(array: BsArrayConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -18,14 +18,13 @@ from contris.analytic import (
     dominant_error_term,
     gamma_fit,
     link_terms,
-    mean_snr_from_terms,
     moment_m1,
     moment_m2_iso,
     moment_m2_quad4,
     outage_probability,
     rect_distance_pdf,
     se_bound,
-    second_moment_snr_from_terms,
+    snr_moments,
 )
 from contris.cli import SETUPS, default_system
 from contris.mcsim import (
@@ -83,15 +82,6 @@ def _system(area: float, kind: CorrelationKind, kappa: float = 1.0,
             system, link=dataclasses.replace(system.link, d_y_m=d_y,
                                              d_rb_m=d_rb, d_x_m=d_x))
     return system
-
-
-def _analytic_mu(system):
-    terms = link_terms(system)
-    m1 = moment_m1(system.geometry, terms.beta_ur)
-    m2 = moment_m2_iso(system.geometry, system.correlation, terms.beta_ur)
-    mu1 = mean_snr_from_terms(terms, m1, m2)
-    mu2 = second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2))
-    return mu1, mu2
 
 
 class ZeroCorrelation:
@@ -153,13 +143,11 @@ def test_criterion_4_mean_snr_and_area_scaling(batches):
         mu1s = []
         for area in areas:
             system = _system(area, kind)
-            terms = link_terms(system)
-            m1 = moment_m1(system.geometry, terms.beta_ur)
-            m2 = moment_m2_iso(system.geometry, system.correlation, terms.beta_ur)
-            mu1 = mean_snr_from_terms(terms, m1, m2)
+            mu1 = snr_moments(system).mu1
             mu1s.append(mu1)
             s = batches(system, 64, 64, 10 ** 4).summaries()
             worst_z = max(worst_z, abs(s.mean_snr - mu1) / s.se_mean_snr)
+        terms = link_terms(system)
         floor = terms.gamma * terms.m * terms.beta_d
         upper = [(a, m) for a, m in zip(areas, mu1s) if a >= 0.5 * (areas[0] + areas[-1])]
         slope = np.polyfit(np.log([a for a, _ in upper]),
@@ -177,7 +165,7 @@ def test_criterion_5_jensen_bound_and_det_ordering(batches):
     detail_parts = []
     for kappa in kappas:
         system = _system(0.4, CorrelationKind.JAKES, kappa=kappa)
-        mu1, mu2 = _analytic_mu(system)
+        mu1, mu2 = dataclasses.astuple(snr_moments(system))
         seb = se_bound(mu1)
         det = dominant_error_term(mu1, mu2)
         ratios.append(det / seb)
@@ -202,7 +190,7 @@ def test_criterion_6_outage_approximation(batches):
                 system = _system(area, kind, aspect=aspect)
                 grid = suggest_grid(system.geometry, system.correlation)
                 batch = batches(system, grid.nx, grid.ny, n)
-                mu1, mu2 = _analytic_mu(system)
+                mu1, mu2 = dataclasses.astuple(snr_moments(system))
                 fit = gamma_fit(mu1, mu2)
                 ks = empirical_cdf(batch).ks_distance(
                     lambda xs: outage_probability(fit, xs))
@@ -229,7 +217,7 @@ def test_criterion_7_channel_hardening(batches):
             for kappa in kappas:
                 system = _system(area, CorrelationKind.SINC, kappa=kappa,
                                  setup=setup)
-                mu1, mu2 = _analytic_mu(system)
+                mu1, mu2 = dataclasses.astuple(snr_moments(system))
                 cv2[(setup, area, kappa)] = cv_squared(mu1, mu2)
     monotone_area = all(
         cv2[(s, a2, k)] <= cv2[(s, a1, k)] + 1e-15

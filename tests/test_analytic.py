@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from contris.analytic import (
     outage_probability,
     rect_distance_pdf,
     se_bound,
+    second_moment_snr,
     second_moment_snr_from_terms,
+    snr_moments,
 )
 from contris.cli import default_system
 from contris.errors import DomainError, NonPositiveVariance
@@ -224,6 +227,19 @@ class TestSnrMoments:
         terms = link_terms(system)
         mu2 = second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2))
         assert mu2 >= mu1 ** 2
+
+    @pytest.mark.parametrize("kind,kappa", [(CorrelationKind.JAKES, 1.0),
+                                            (CorrelationKind.SINC, 0.3)])
+    def test_snr_moments_equal_config_level_wrappers(self, kind, kappa):
+        system = default_system()
+        model = dataclasses.replace(system.correlation, kind=kind, kappa=kappa)
+        system = dataclasses.replace(system, correlation=model)
+        beta_ur = derive_gains(system).beta_ur
+        m1 = moment_m1(system.geometry, beta_ur)
+        m2 = moment_m2_iso(system.geometry, system.correlation, beta_ur)
+        expected = (mean_snr(system, m1, m2),
+                    second_moment_snr(system, YMoments.from_first_two(m1, m2)))
+        assert dataclasses.astuple(snr_moments(system)) == expected
 
     def test_snr_moments_invariants(self):
         pair = SnrMoments(mu1=2.0, mu2=5.0)

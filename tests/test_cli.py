@@ -1,6 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contris import cli
 from contris.cli import (
@@ -17,7 +21,64 @@ from contris.cli import (
 )
 from contris.errors import ConfigError
 from contris.quadrature import QuadratureSpec
-from contris.sysmodel import CorrelationKind
+from contris.sysmodel import CorrelationKind, LinkBudget
+
+
+# malformed documents: each must give exit 2 and a message, never a traceback
+BAD_DOCUMENTS = [
+    {"system": {"geometry": 5}},
+    {"system": {"geometry": {"width_m": "abc"}}},
+    {"system": {"geometry": {"width_m": -1}}},
+    {"system": {"transmit_snr_db": 1e6}},
+    [{"seed": 1}],
+    {"system": {"correlation": {"kappa": math.nan}}},
+    {"replicates": 1.5},
+    {"system": {"geometry": {"width_m": math.inf}}},
+    {"grid": {"nx": 2.7}},
+    {"system": {"array": {"m_x": 0.5}}},
+    {"sweep": [1]},
+    {"sweep": {"areas_m2": "ab"}},
+    {"sweep": {"areas_m2": [-0.1]}},
+    # well formed, but the terminal sits on the surface: fails at run time
+    {"system": {"link": {"d_rb_m": 30.0, "d_x_m": 30.0, "d_y_m": 0.0}}},
+]
+
+_GEOMETRY = dict.fromkeys(["width_m", "height_m"])
+_CORRELATION = dict.fromkeys(["kind", "kappa"])
+# every key of the documented schema; None marks a leaf
+SCHEMA = {
+    "system": {
+        "geometry": _GEOMETRY, "carrier_hz": None, "wavelength_m": None,
+        "correlation": _CORRELATION, "bs_correlation": _CORRELATION,
+        "link": dict.fromkeys(["c0", "c0_db", "d0_m", "alpha_d", "alpha_rb",
+                               "alpha_ur", "d_rb_m", "d_x_m", "d_y_m"]),
+        "array": dict.fromkeys(["m_x", "m_z", "spacing_wavelengths",
+                                "theta_a_rad", "phi_a_rad"]),
+        "transmit_snr": None, "transmit_snr_db": None,
+    },
+    "grid": dict.fromkeys(["nx", "ny"]),
+    "replicates": None,
+    "seed": None,
+    "sweep": dict.fromkeys(["areas_m2", "kappas", "aspects", "thresholds_db", "setups"]),
+    "output_path": None,
+}
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.floats(0.01, 100.0) | st.integers(-3, 64)
+                | st.sampled_from(["sinc", "JAKES", "A", "custom", "x.csv", ""]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=8)
+
+
+def shaped(schema):
+    """JSON documents keyed like ``schema``, with arbitrary JSON anywhere."""
+    if schema is None:
+        return JSON_VALUES
+    return JSON_VALUES | st.fixed_dictionaries(
+        {}, optional={key: shaped(sub) for key, sub in schema.items()})
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -69,6 +130,30 @@ class TestLoadConfig:
             load_config({"sweep": {}})
         with pytest.raises(ConfigError):
             load_config({"sweep": {"setups": ["D"]}})
+
+    def test_document_replaces_only_given_fields(self):
+        assert load_config({}) == ExperimentConfig()
+        cfg = load_config({"system": {"link": {"d_x_m": 20}, "array": {"m_x": 4.0}}})
+        assert cfg.system.link == dataclasses.replace(LinkBudget(), d_x_m=20.0)
+        assert cfg.system.array.m_x == 4 and isinstance(cfg.system.array.m_x, int)
+        assert cfg.system.geometry == default_system().geometry
+
+    @pytest.mark.parametrize("overrides", [
+        {"replicates": 1.5}, {"replicates": 0}, {"seed": 2.0}, {"seed": -1},
+        {"grid": (8, 8.5)}, {"grid": (1, 8)},
+    ])
+    def test_experiment_config_domain(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
+
+    @given(shaped(SCHEMA))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_returns_config_or_config_error(self, document):
+        try:
+            cfg = load_config(document)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
     def test_hash_stable_and_sensitive(self):
         a = load_config(None)
@@ -218,6 +303,23 @@ class TestMain:
                          "--out", "x.csv"]) == 2
         assert cli.main(["--scenario", "table1"]) == 2  # no output path
         assert cli.main([]) == 2  # no scenario
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", BAD_DOCUMENTS)
+    def test_malformed_config_exits_2_with_message(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = cli.main(["--config", str(path), "--scenario", "table1",
+                         "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [b"{\"seed\": 1", b"\xff\xfe{}", b"[" + b"9" * 5000 + b"]"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert cli.main(["--config", str(path), "--validate"]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from contris.errors import DomainError
 from contris.specfun import (
-    EvalTolerance,
     GAUSS_2F1_AT_ONE,
     bessel_j0,
     gauss_2f1_half,
@@ -89,6 +89,16 @@ class TestBesselJ0:
         out = bessel_j0(xs)
         assert out.shape == xs.shape
         assert out[0] == 1.0
+
+    def test_infinity_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_j0(math.inf) == 0.0 and bessel_j0(-math.inf) == 0.0
+            out = bessel_j0([1.0, math.inf, -math.inf])
+        assert out[0] == bessel_j0(1.0) and np.all(out[1:] == 0.0)
+        for x in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                bessel_j0(x)
 
     def test_blocked_array_matches_scalar_calls_bit_for_bit(self):
         # 9e4 elements span three evaluation blocks and both branches; every
@@ -211,16 +221,3 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(0.0)
 
-
-class TestEvalTolerance:
-    def test_defaults(self):
-        tol = EvalTolerance()
-        assert tol.abs_tol == 1e-12 and tol.rel_tol == 1e-10
-        assert tol.max_terms == 10 ** 6
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_terms": 0},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            EvalTolerance(**kwargs)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from contris.sysmodel import (
     LinkBudget,
     SurfaceGeometry,
     bs_correlation_matrix,
-    correlation_at,
     derive_gains,
     derive_link_distances,
     path_loss_gain,
@@ -48,7 +48,8 @@ class TestSurfaceGeometry:
     def test_area(self):
         assert SurfaceGeometry(2.0, 0.1).area_m2 == pytest.approx(0.2)
 
-    @pytest.mark.parametrize("w,h", [(0.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("w,h", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0),
+                                     (1.0, math.nan)])
     def test_invalid(self, w, h):
         with pytest.raises(DomainError):
             SurfaceGeometry(w, h)
@@ -72,6 +73,21 @@ class TestLinkDistances:
         dist = derive_link_distances(LinkBudget())
         assert dist.d_d == pytest.approx(D_D_DEFAULT, rel=1e-12)
         assert dist.d_ur == pytest.approx(D_UR_DEFAULT, rel=1e-12)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("kwargs", [
+        {"c0": math.nan}, {"d0_m": math.inf}, {"alpha_d": math.nan}, {"alpha_ur": -1.0},
+        {"d_x_m": math.nan}, {"d_rb_m": math.inf},
+    ])
+    def test_invalid(self, kwargs):
+        with pytest.raises(DomainError):
+            LinkBudget(**kwargs)
+
+    @pytest.mark.parametrize("snr", [0.0, math.inf, math.nan])
+    def test_invalid_transmit_snr(self, snr):
+        with pytest.raises(DomainError):
+            dataclasses.replace(default_system(), transmit_snr=snr)
 
 
 class TestPathLoss:
@@ -100,14 +116,14 @@ class TestPathLoss:
 class TestCorrelationAt:
     @pytest.mark.parametrize("model", [jakes(), sinc_model(), jakes(0.0), sinc_model(0.3)])
     def test_zero_separation(self, model):
-        assert correlation_at(model, 0.0) == 1.0
+        assert model.rho(0.0) == 1.0
 
     def test_sinc_first_zero(self):
-        assert abs(correlation_at(sinc_model(1.0), WAVELENGTH / 2.0)) < 1e-15
+        assert abs(sinc_model(1.0).rho(WAVELENGTH / 2.0)) < 1e-15
 
     def test_jakes_first_zero(self):
         r = WAVELENGTH * 2.4048255577 / (2.0 * math.pi)
-        assert abs(correlation_at(jakes(1.0), r)) < 1e-9
+        assert abs(jakes(1.0).rho(r)) < 1e-9
 
     def test_kappa_zero_everywhere_one(self):
         rs = np.linspace(0.0, 5.0, 64)
@@ -127,10 +143,10 @@ class TestCorrelationAt:
         assert np.all(hi <= lo + 1e-12)
 
     def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            IsotropicCorrelation(CorrelationKind.JAKES, -0.1, WAVELENGTH)
-        with pytest.raises(DomainError):
-            IsotropicCorrelation(CorrelationKind.JAKES, 1.0, 0.0)
+        for kappa, wavelength in ((-0.1, WAVELENGTH), (1.0, 0.0), (math.nan, WAVELENGTH),
+                                  (math.inf, WAVELENGTH), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                IsotropicCorrelation(CorrelationKind.JAKES, kappa, wavelength)
 
 
 class TestSteeringVector:
@@ -158,6 +174,15 @@ class TestSteeringVector:
             BsArrayConfig(theta_a_rad=-0.1)
         with pytest.raises(DomainError):
             BsArrayConfig(phi_a_rad=4.0)
+        with pytest.raises(DomainError):
+            BsArrayConfig(theta_a_rad=math.nan)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m_x": 0}, {"m_x": 0.5}, {"m_z": 2.0}, {"spacing_wavelengths": math.inf},
+    ])
+    def test_invalid_counts_and_spacing(self, kwargs):
+        with pytest.raises(DomainError):
+            BsArrayConfig(**kwargs)
 
 
 class TestBsCorrelationMatrix:
@@ -202,7 +227,6 @@ class TestDeriveGains:
         assert gains.beta_ur == pytest.approx(BETA_UR_DEFAULT, rel=1e-9)
 
     def test_zero_exponents_give_reference_gain(self):
-        import dataclasses
         system = default_system()
         link = dataclasses.replace(system.link, alpha_d=0.0, alpha_rb=0.0,
                                    alpha_ur=0.0)
