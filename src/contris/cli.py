@@ -92,7 +92,7 @@ from .mcsim import (
     compute_Y,
     snr_norm_form,
     build_surface_covariance,
-    _replicate_rng,
+    random_stream,
 )
 from .quadrature import QuadratureSpec, integrate_piecewise
 from .sysmodel import (
@@ -589,7 +589,7 @@ def validate(cfg: ExperimentConfig,
         a_b = steering_vector(system.array)
         worst = 0.0
         for i in range(200):
-            rng = _replicate_rng(_point_seed(cfg.seed, 0, 1), i)
+            rng = random_stream(_point_seed(cfg.seed, 0, 1), i)
             field = sample_field(sampler, rng)
             h_d = sample_direct_channel(r_d, gains.beta_d, rng)
             y = compute_Y(field, grid)

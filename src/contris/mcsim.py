@@ -5,11 +5,15 @@ complex Gaussian field is drawn through an eigenfactor of the grid
 covariance, and each replicate applies the SNR-optimal phase design, so
 that the per-draw SNR reduces to a function of the aggregate amplitude Y,
 the direct channel and the arrival steering vector.  No symbol-level
-waveform is ever materialized.
+waveform is ever materialized.  The grid covariance depends only on the
+cell offsets, and the grid's reflections split it into four independent
+blocks, which are built and factorized separately.
 
-Determinism contract: every replicate draws from its own substream seeded
-by (master seed, replicate index), so results are a pure function of
-(seed, config, grid, n) regardless of batching or scheduling.
+Determinism contract: replicates are drawn in fixed blocks of 256, and
+block b draws from its own stream seeded by (master seed, b), so results
+are a pure function of (seed, config, grid, n) and the first k samples of
+a longer run equal a shorter run's.  Reruns are bit-identical at a fixed
+BLAS thread count; another thread count may change the last bits.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .sysmodel import (
     IsotropicCorrelation,
     SurfaceGeometry,
     SystemConfig,
-    clipped_eigh,
+    clip_spectrum,
     derive_gains,
     bs_correlation_matrix,
     steering_vector,
@@ -40,6 +44,7 @@ __all__ = [
     "make_grid",
     "suggest_grid",
     "grid_points",
+    "surface_blocks",
     "build_surface_covariance",
     "sample_field",
     "compute_Y",
@@ -48,6 +53,7 @@ __all__ = [
     "optimal_snr_sample",
     "snr_norm_form",
     "snr_under_profile",
+    "random_stream",
     "run_replicates",
     "empirical_cdf",
 ]
@@ -116,41 +122,140 @@ def grid_points(geom: SurfaceGeometry, grid: GridSpec) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+# The grid's reflection in each axis splits the cells of that axis into an
+# even half with basis (e_r + e_{n-1-r}) / sqrt 2 per representative cell
+# r < n / 2, plus e_c for the centre cell c = (n - 1) / 2 when n is odd, and
+# an odd half with basis (e_r - e_{n-1-r}) / sqrt 2.  The four (x, y) parity
+# blocks, even first, in the order FieldSampler.blocks keeps them:
+_PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def _half_scale(n: int, sign: float) -> np.ndarray:
+    """Entry scale of each representative cell of one parity half of an
+    n-cell axis: 1, or sqrt(1/2) for the centre cell.  The cell's basis
+    vector has magnitude sqrt(1/2) / scale on each cell it covers."""
+    r = np.arange((n + 1) // 2 if sign > 0 else n // 2)
+    return np.where(2 * r == n - 1, _SQRT_HALF, 1.0)
+
+
+def surface_blocks(
+    geom: SurfaceGeometry, grid: GridSpec, model: IsotropicCorrelation,
+) -> tuple:
+    """The four diagonal blocks of the grid correlation in the reflection
+    basis, (x, y) parities (even, even), (even, odd), (odd, even), (odd, odd).
+
+    ``rho`` is evaluated once per cell offset.  For a correlation f of the
+    offsets, the 1-D entry between representatives r and t of the half of
+    sign s is scale_r scale_t (f(|r - t|) + s f(n - 1 - r - t)): each block
+    is Toeplitz plus Hankel in each axis, gathered from the offset table.
+    Rows are x-major over the representative cells.
+    """
+    nx, ny = grid.nx, grid.ny
+    table = np.asarray(model.rho(np.hypot(np.arange(nx)[:, None] * (geom.width_m / nx),
+                                          np.arange(ny)[None, :] * (geom.height_m / ny))),
+                       dtype=float)
+    table[0, 0] = 1.0
+
+    def offsets(n, size):
+        r = np.arange(size)
+        return np.abs(r[:, None] - r[None, :]), (n - 1) - r[:, None] - r[None, :]
+
+    blocks = []
+    for sx, sy in _PARITIES:
+        scale_x, scale_y = _half_scale(nx, sx), _half_scale(ny, sy)
+        direct_x, mirror_x = offsets(nx, scale_x.size)
+        direct_y, mirror_y = offsets(ny, scale_y.size)
+        folded = table[direct_x] + sx * table[mirror_x]
+        r = np.arange(scale_x.size)[:, None, None, None]
+        t = r.reshape(1, 1, -1, 1)
+        block = (folded[r, t, direct_y[None, :, None, :]]
+                 + sy * folded[r, t, mirror_y[None, :, None, :]])
+        scale = np.outer(scale_x, scale_y).ravel()
+        blocks.append(block.reshape(scale.size, scale.size) * np.outer(scale, scale))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class FieldSampler:
     """Factorized covariance of the surface field on a grid.
 
-    ``factor`` satisfies factor @ factor^T ~= beta_ur * Sigma with exact
-    per-point marginal variance beta_ur.
+    ``blocks`` holds one real factor per block of :func:`surface_blocks`,
+    in its order.  Block k's factor maps its coefficients to the field at
+    the representative cells (the lower quarter of the grid), with the
+    basis weights and the unit row-power scaling in its rows; :meth:`apply`
+    unfolds the four onto the whole grid.  The dense factor
+    ``apply(np.eye(rank))`` satisfies factor @ factor^T ~= beta_ur * Sigma
+    with exact per-point marginal variance beta_ur.
     """
 
-    factor: np.ndarray
+    blocks: tuple
     grid: GridSpec
     clipped_mass: float
 
     @property
     def n_points(self) -> int:
-        return self.factor.shape[0]
+        return self.grid.n_points
 
     @property
     def rank(self) -> int:
-        return self.factor.shape[1]
+        return sum(block.shape[1] for block in self.blocks)
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """Fields on the grid, (n_points, k), for real coefficient columns
+        (rank, k); rows follow the blocks in order."""
+        nx, ny = self.grid.nx, self.grid.ny
+        hx, hy = nx // 2, ny // 2
+        k = coeffs.shape[1]
+        field = np.empty((nx, ny, k))
+        odd_x = np.empty((hx, ny, k))
+        parts, start = [], 0
+        for block, (_, sy) in zip(self.blocks, _PARITIES):
+            stop = start + block.shape[1]
+            rows_y = ny - hy if sy > 0 else hy
+            parts.append((block @ coeffs[start:stop]).reshape(-1, rows_y, k))
+            start = stop
+        # unfold y within each x half, then x: a pair of mirror cells holds
+        # even + odd and even - odd, a centre cell its even part alone
+        for out, even, odd_y in ((field[:nx - hx], parts[0], parts[1]),
+                                 (odd_x, parts[2], parts[3])):
+            np.subtract(even[:, :hy], odd_y, out=out[:, ny - hy:][:, ::-1])
+            np.add(even[:, :hy], odd_y, out=out[:, :hy])
+            out[:, hy:ny - hy] = even[:, hy:]
+        np.subtract(field[:hx], odd_x, out=field[nx - hx:][::-1])
+        field[:hx] += odd_x
+        return field.reshape(nx * ny, k)
 
 
-def _unit_factor(corr: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real factor L with L L^T ~= corr and exactly unit row power."""
-    eigvals, eigvecs, clipped_mass = clipped_eigh(corr)
+def _block_factors(blocks) -> tuple[list, float]:
+    """Real factors F_k with F_k F_k^T ~= block_k for the diagonal blocks
+    of one symmetric matrix.
+
+    The clipped-mass limit, the rejection ratio and the rank truncation are
+    judged on the union of the block spectra, as for the whole matrix.
+    """
+    spectra = [np.linalg.eigh(0.5 * (block + block.T)) for block in blocks]
+    eigvals, clipped_mass = clip_spectrum(np.concatenate([w for w, _ in spectra]))
     if clipped_mass > _CLIPPED_MASS_LIMIT:
         raise CovarianceRepairFailure(
             f"clipped eigenvalue mass {clipped_mass:.3e} exceeds "
             f"{_CLIPPED_MASS_LIMIT:.0e}")
-    keep = eigvals > _RANK_TRUNCATION * eigvals[-1]
-    factor = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    keep = eigvals > _RANK_TRUNCATION * eigvals.max()
+    factors, start = [], 0
+    for _, eigvecs in spectra:
+        stop = start + eigvecs.shape[1]
+        kept = keep[start:stop]
+        factors.append(eigvecs[:, kept] * np.sqrt(eigvals[start:stop][kept]))
+        start = stop
+    return factors, clipped_mass
+
+
+def _unit_factor(corr: np.ndarray) -> np.ndarray:
+    """Real factor L with L L^T ~= corr and exactly unit row power."""
+    (factor,), _ = _block_factors([corr])
     row_power = (factor * factor).sum(axis=1)
     if np.any(row_power <= 0.0):
         raise CovarianceRepairFailure("a grid point lost all covariance mass")
-    factor /= np.sqrt(row_power)[:, None]
-    return factor, clipped_mass
+    return factor / np.sqrt(row_power)[:, None]
 
 
 def build_surface_covariance(
@@ -159,17 +264,30 @@ def build_surface_covariance(
     model: IsotropicCorrelation,
     beta_ur: float,
 ) -> FieldSampler:
-    """Correlation matrix of the grid points, repaired and factorized."""
+    """Correlation of the grid points, repaired and factorized per block.
+
+    The blocks are those of :func:`surface_blocks`.  A point's row power is
+    the same at its four mirror images, so the unit row-power scaling and
+    sqrt(beta_ur) go into the rows of the block factors, with the weight of
+    each row's basis vector on the grid.
+    """
     if not beta_ur > 0.0:
         raise DomainError("beta_ur must be positive")
-    pts = grid_points(geom, grid)
-    dist = np.hypot(pts[:, 0, None] - pts[None, :, 0],
-                    pts[:, 1, None] - pts[None, :, 1])
-    corr = np.asarray(model.rho(dist), dtype=float)
-    np.fill_diagonal(corr, 1.0)
-    factor, clipped_mass = _unit_factor(corr)
-    return FieldSampler(factor=factor * math.sqrt(beta_ur), grid=grid,
-                        clipped_mass=clipped_mass)
+    blocks = surface_blocks(geom, grid, model)
+    weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
+               for sx, sy in _PARITIES]
+    factors, clipped_mass = _block_factors(blocks)
+    row_power = np.zeros(weights[0].shape)
+    for factor, weight in zip(factors, weights):
+        mx, my = weight.shape
+        row_power[:mx, :my] += weight ** 2 * (factor * factor).sum(axis=1).reshape(mx, my)
+    if np.any(row_power <= 0.0):
+        raise CovarianceRepairFailure("a grid point lost all covariance mass")
+    scale = math.sqrt(beta_ur) / np.sqrt(row_power)
+    for factor, weight in zip(factors, weights):
+        mx, my = weight.shape
+        factor *= (weight * scale[:mx, :my]).reshape(-1, 1)
+    return FieldSampler(blocks=tuple(factors), grid=grid, clipped_mass=clipped_mass)
 
 
 def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -180,7 +298,8 @@ def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def sample_field(sampler: FieldSampler, rng: np.random.Generator) -> np.ndarray:
     """One draw of the surface field on the grid; marginals CN(0, beta_ur)."""
-    return sampler.factor @ _complex_normal(rng, sampler.rank)
+    re, im = sampler.apply(_SQRT_HALF * rng.standard_normal((sampler.rank, 2))).T
+    return re + 1j * im
 
 
 def compute_Y(field: np.ndarray, grid: GridSpec) -> float:
@@ -198,7 +317,7 @@ def sample_direct_channel(
     Convenience wrapper that factorizes on each call; the replicate loop
     factorizes once instead.
     """
-    factor, _ = _unit_factor(np.asarray(r_d, dtype=float))
+    factor = _unit_factor(np.asarray(r_d, dtype=float))
     return math.sqrt(beta_d) * (factor @ _complex_normal(rng, factor.shape[1]))
 
 
@@ -331,15 +450,19 @@ class ReplicateBatch:
         )
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Substream for one replicate, a pure function of (seed, index)."""
+def random_stream(seed: int, index: int) -> np.random.Generator:
+    """Random stream keyed by (seed, index), a pure function of both.
+
+    :func:`run_replicates` draws its replicate block ``index`` from it; the
+    per-sample checks draw their sample ``index``.
+    """
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-# Replicates are processed in fixed-width blocks (the last one zero-padded)
-# so that every replicate's arithmetic runs through identically shaped BLAS
-# calls at a position determined only by its index.  Results are therefore
-# bit-identical regardless of n or of how blocks are scheduled.
+# Replicates are drawn and scored in fixed blocks.  Block b draws all of its
+# normals from random_stream(seed, b), also past n, and runs through
+# identically shaped BLAS calls, so a replicate's value depends only on its
+# index: reruns agree bit for bit and prefixes agree across n.
 _BLOCK = 256
 
 
@@ -348,10 +471,12 @@ def run_replicates(
 ) -> ReplicateBatch:
     """Draw n independent (field, direct channel) pairs and score them.
 
-    Per-replicate draw order is fixed (field first, then direct channel),
-    and each replicate consumes only its own substream, so the batch is a
-    pure function of (seed, cfg, grid, n) and prefixes agree across
-    different n.
+    Replicate block b (replicates 256 b to 256 b + 255) consumes only the
+    stream ``random_stream(seed, b)``, in a fixed order, and is always
+    drawn in full.  The batch is therefore a pure function of (seed, cfg,
+    grid, n), and the first k samples of a longer run equal a shorter
+    run's.  Reruns are bit-identical at a fixed BLAS thread count; another
+    thread count may change the last bits of the factor and the products.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -363,40 +488,36 @@ def run_replicates(
     gains = derive_gains(cfg)
     sampler = build_surface_covariance(cfg.geometry, grid, cfg.correlation, gains.beta_ur)
     r_d = bs_correlation_matrix(cfg.array, cfg.bs_correlation)
-    direct_factor, _ = _unit_factor(r_d)
-    direct_factor = direct_factor * math.sqrt(gains.beta_d)
+    direct_factor = math.sqrt(gains.beta_d) * _unit_factor(r_d)
     a_b = steering_vector(cfg.array)
-    m = cfg.array.m
-
     rank_f = sampler.rank
-    rank_d = direct_factor.shape[1]
 
-    y = np.empty(n)
-    hd_power = np.empty(n)
-    proj_mag = np.empty(n)
+    padded = -(-n // _BLOCK) * _BLOCK
+    y = np.empty(padded)
+    hd_power = np.empty(padded)
+    proj_mag = np.empty(padded)
+    for start in range(0, padded, _BLOCK):
+        # rows: field coefficients, then direct-channel ones; columns: the
+        # real parts of the block's replicates, then their imaginary parts
+        z = random_stream(seed, start // _BLOCK).standard_normal(
+            (rank_f + direct_factor.shape[1], 2 * _BLOCK))
+        z *= _SQRT_HALF
+        rows = slice(start, start + _BLOCK)
 
-    zf = np.zeros((rank_f, _BLOCK), dtype=complex)
-    zd = np.zeros((rank_d, _BLOCK), dtype=complex)
-    for start in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - start)
-        zf[:, count:] = 0.0
-        zd[:, count:] = 0.0
-        for j in range(count):
-            rng = _replicate_rng(seed, start + j)
-            zf[:, j] = _complex_normal(rng, rank_f)
-            zd[:, j] = _complex_normal(rng, rank_d)
-        # two real products per complex one: avoids upcasting the factors
-        field_re = sampler.factor @ zf.real
-        field_im = sampler.factor @ zf.imag
-        y[start:start + count] = (
-            sampler.grid.cell_area
-            * np.hypot(field_re, field_im).sum(axis=0)[:count])
-        h_d = direct_factor @ zd.real + 1j * (direct_factor @ zd.imag)
-        hd_power[start:start + count] = (np.abs(h_d) ** 2).sum(axis=0)[:count]
-        proj_mag[start:start + count] = np.abs(a_b.conj() @ h_d)[:count]
+        power = sampler.apply(z[:rank_f])
+        power *= power
+        magnitude = power[:, :_BLOCK]
+        magnitude += power[:, _BLOCK:]
+        y[rows] = grid.cell_area * np.sqrt(magnitude, out=magnitude).sum(axis=0)
 
+        h = direct_factor @ z[rank_f:]
+        h_d = h[:, :_BLOCK] + 1j * h[:, _BLOCK:]
+        hd_power[rows] = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
+        proj_mag[rows] = np.abs(a_b.conj() @ h_d)
+
+    y, hd_power, proj_mag = y[:n], hd_power[:n], proj_mag[:n]
     snr = cfg.transmit_snr * (
-        hd_power + m * gains.beta_rb * y * y
+        hd_power + cfg.array.m * gains.beta_rb * y * y
         + 2.0 * math.sqrt(gains.beta_rb) * y * proj_mag)
     return ReplicateBatch(n=n, snr_samples=snr, y_samples=y, seed=seed)
 

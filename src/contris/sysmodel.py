@@ -40,6 +40,7 @@ __all__ = [
     "steering_vector",
     "bs_correlation_matrix",
     "derive_gains",
+    "clip_spectrum",
     "clipped_eigh",
     "psd_repair",
 ]
@@ -221,26 +222,39 @@ def steering_vector(array: BsArrayConfig) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def clipped_eigh(matrix: np.ndarray, reject_ratio: float = 1e-6):
-    """Eigendecompose a symmetric matrix and clamp negative eigenvalues to 0.
+def clip_spectrum(eigvals: np.ndarray, reject_ratio: float = 1e-6):
+    """Clamp the negative eigenvalues of a correlation spectrum to 0.
 
-    Returns ``(eigvals_clipped, eigvecs, clipped_mass)``, where clipped_mass
-    is the removed fraction of total absolute eigenvalue mass.  Raises
-    :class:`CovarianceRepairFailure` when any eigenvalue is more negative
-    than ``reject_ratio`` times the largest one, which indicates a genuinely
-    indefinite model rather than roundoff.
+    ``eigvals`` may be the union of the spectra of independent diagonal
+    blocks; every rule below is then judged on the union.  Returns
+    ``(eigvals_clipped, clipped_mass)``, where clipped_mass is the removed
+    fraction of total absolute eigenvalue mass.  Raises
+    :class:`CovarianceRepairFailure` when the largest eigenvalue is not
+    positive, or when any eigenvalue is more negative than ``reject_ratio``
+    times the largest one, which indicates a genuinely indefinite model
+    rather than roundoff.
     """
-    sym = 0.5 * (matrix + matrix.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    largest = eigvals[-1]
+    largest = eigvals.max()
     if largest <= 0.0:
         raise CovarianceRepairFailure("correlation matrix has no positive spectrum")
-    if eigvals[0] < -reject_ratio * largest:
+    smallest = eigvals.min()
+    if smallest < -reject_ratio * largest:
         raise CovarianceRepairFailure(
-            f"eigenvalue {eigvals[0]:.3e} too negative relative to {largest:.3e}")
+            f"eigenvalue {smallest:.3e} too negative relative to {largest:.3e}")
     total_mass = np.abs(eigvals).sum()
     clipped_mass = float(-eigvals[eigvals < 0.0].sum() / total_mass)
-    return np.maximum(eigvals, 0.0), eigvecs, clipped_mass
+    return np.maximum(eigvals, 0.0), clipped_mass
+
+
+def clipped_eigh(matrix: np.ndarray, reject_ratio: float = 1e-6):
+    """Eigendecompose a symmetric matrix and clip its spectrum.
+
+    Returns ``(eigvals_clipped, eigvecs, clipped_mass)`` with the eigenvalues
+    ascending; the spectrum rules are those of :func:`clip_spectrum`.
+    """
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    clipped, clipped_mass = clip_spectrum(eigvals, reject_ratio)
+    return clipped, eigvecs, clipped_mass
 
 
 def psd_repair(matrix: np.ndarray) -> np.ndarray:

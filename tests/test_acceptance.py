@@ -34,12 +34,12 @@ from contris.mcsim import (
     make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
+    random_stream,
     sample_direct_channel,
     sample_field,
     snr_norm_form,
     snr_under_profile,
     suggest_grid,
-    _replicate_rng,
 )
 from contris.quadrature import QuadratureSpec, integrate_piecewise
 from contris.sysmodel import (
@@ -256,7 +256,7 @@ def test_criterion_8_per_sample_identity_and_dominance():
 
     worst_rel = 0.0
     for i in range(10 ** 4):
-        rng = _replicate_rng(MASTER_SEED, i)
+        rng = random_stream(MASTER_SEED, i)
         field = sample_field(sampler, rng)
         h_d = sample_direct_channel(r_d, gains.beta_d, rng)
         y = compute_Y(field, grid)
@@ -268,7 +268,7 @@ def test_criterion_8_per_sample_identity_and_dominance():
     violations = 0
     rng = np.random.default_rng(MASTER_SEED + 1)
     for i in range(100):
-        sub = _replicate_rng(MASTER_SEED + 2, i)
+        sub = random_stream(MASTER_SEED + 2, i)
         field = sample_field(sampler, sub)
         h_d = sample_direct_channel(r_d, gains.beta_d, sub)
         best = snr_under_profile(

@@ -8,11 +8,12 @@ are parsed, not imported, so nothing under ``perfbench/`` is written.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-from contris import cli, mcsim
+from contris import cli, mcsim, sysmodel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"analytic", "cli", "mcsim", "quadrature", "specfun", "sysmodel"}
@@ -56,3 +57,55 @@ def test_cli_binds_the_traced_sampling_functions():
     # the traced run wraps each module's own binding of a traced function
     assert cli.sample_field is mcsim.sample_field
     assert cli.run_replicates is mcsim.run_replicates
+
+
+def hook_parameters():
+    """(owner, name, index, parameter) for every argument a tracer hook in
+    ``perfbench/layers.py`` reads as ``_arg(..., index, parameter)`` or
+    ``_points(index, parameter)``."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = [
+                tuple(arg.value for arg in call.args[2:4])
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+                and all(isinstance(arg, ast.Constant) for arg in call.args[2:4])]
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            for call in node.value.elts:
+                owner, name = (arg.value for arg in call.args[:2])
+                for hook in call.keywords:
+                    if isinstance(hook.value, ast.Call):
+                        pairs = [tuple(arg.value for arg in hook.value.args)]
+                    else:
+                        pairs = reads[hook.value.id]
+                    out += [(owner, name, index, param) for index, param in pairs]
+    return out
+
+
+@pytest.mark.parametrize("owner,name,index,param", hook_parameters())
+def test_hook_arguments_match_signatures(owner, name, index, param):
+    module, _, cls = owner.partition(":")
+    obj = importlib.import_module(module)
+    if cls:
+        obj = getattr(obj, cls)
+    params = list(inspect.signature(getattr(obj, name)).parameters.values())
+    if cls:
+        params = params[1:]  # the tracer drops ``self`` before the hook reads
+    assert params[index].name == param
+    assert params[index].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_hook_result_attributes():
+    # the observers read rank, n and n_points off these results
+    system = cli.default_system()
+    grid = mcsim.make_grid(system.geometry, 5, 4)
+    assert grid.n_points == 20
+    gains = sysmodel.derive_gains(system)
+    sampler = mcsim.build_surface_covariance(system.geometry, grid, system.correlation,
+                                             gains.beta_ur)
+    assert isinstance(sampler.rank, int) and 1 <= sampler.rank <= grid.n_points
+    assert mcsim.run_replicates(system, grid, 3, 0).n == 3

@@ -22,6 +22,7 @@ from contris.mcsim import (
     snr_norm_form,
     snr_under_profile,
     suggest_grid,
+    surface_blocks,
 )
 from contris.sysmodel import (
     BsArrayConfig,
@@ -43,6 +44,32 @@ def jakes(kappa=1.0):
 
 def small_geom():
     return SurfaceGeometry(math.sqrt(0.2), math.sqrt(0.2))
+
+
+def dense_correlation(geom, grid, model):
+    """Correlation of every pair of grid points, from their distances."""
+    pts = grid_points(geom, grid)
+    dist = np.hypot(pts[:, 0, None] - pts[None, :, 0],
+                    pts[:, 1, None] - pts[None, :, 1])
+    corr = model.rho(dist)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def reflection_basis(n, sign):
+    """Orthonormal basis of the even (sign 1) or odd (sign -1) half of an
+    n-cell axis under its reflection; the centre cell joins the even half."""
+    cols = []
+    for r in range(n // 2):
+        col = np.zeros(n)
+        col[r], col[n - 1 - r] = 1.0, sign
+        cols.append(col / math.sqrt(2.0))
+    if n % 2 and sign > 0:
+        cols.append(np.eye(n)[n // 2])
+    return np.array(cols).T
+
+
+PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 class TestGrid:
@@ -81,7 +108,8 @@ class TestSurfaceCovariance:
     def test_marginal_variance_exact(self):
         geom = small_geom()
         sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
-        diag = (sampler.factor * sampler.factor).sum(axis=1)
+        factor = sampler.apply(np.eye(sampler.rank))
+        diag = (factor * factor).sum(axis=1)
         assert np.max(np.abs(diag - BETA_UR)) <= 1e-12 * BETA_UR
 
     def test_reconstruction_and_clipped_mass(self):
@@ -89,12 +117,37 @@ class TestSurfaceCovariance:
         grid = make_grid(geom, 16, 16)
         sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
         assert sampler.clipped_mass < 1e-9
-        pts = grid_points(geom, grid)
-        dist = np.hypot(pts[:, 0, None] - pts[None, :, 0],
-                        pts[:, 1, None] - pts[None, :, 1])
-        cov = BETA_UR * jakes().rho(dist)
-        recon = sampler.factor @ sampler.factor.T
+        cov = BETA_UR * dense_correlation(geom, grid, jakes())
+        factor = sampler.apply(np.eye(sampler.rank))
+        recon = factor @ factor.T
         assert np.max(np.abs(recon - cov)) <= 1e-10 * BETA_UR
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("nx,ny", [(7, 7), (8, 8), (8, 5), (5, 6), (2, 2)])
+    def test_blocks_match_dense_reflection_basis(self, kind, nx, ny):
+        geom = SurfaceGeometry(0.5, 0.3)
+        grid = make_grid(geom, nx, ny)
+        model = IsotropicCorrelation(kind, 1.0, WAVELENGTH)
+        corr = dense_correlation(geom, grid, model)
+        bases = [np.kron(reflection_basis(nx, sx), reflection_basis(ny, sy))
+                 for sx, sy in PARITIES]
+        blocks = surface_blocks(geom, grid, model)
+        for basis, block in zip(bases, blocks):
+            assert np.max(np.abs(block - basis.T @ corr @ basis)) <= 1e-12
+        # the reflections commute with the correlation: nothing off the blocks
+        full = np.hstack(bases)
+        rotated = full.T @ corr @ full
+        start = 0
+        for basis in bases:
+            stop = start + basis.shape[1]
+            rotated[start:stop, start:stop] = 0.0
+            start = stop
+        assert np.max(np.abs(rotated)) <= 1e-12
+        dense = np.linalg.eigvalsh(corr)
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        assert np.max(np.abs(union - dense)) <= 1e-12 * dense[-1]
+        perfect = IsotropicCorrelation(kind, 0.0, WAVELENGTH)
+        assert build_surface_covariance(geom, grid, perfect, BETA_UR).rank == 1
 
     def test_field_statistics(self):
         geom = small_geom()
@@ -247,12 +300,15 @@ class TestRunReplicates:
         long = run_replicates(paper_system, grid, 90, 42)
         assert np.array_equal(short.snr_samples, long.snr_samples[:40])
 
-    def test_prefix_stability_across_blocks(self, paper_system):
+    # the replicate loop draws and scores fixed blocks of 256
+    @pytest.mark.parametrize("n_short,n_long",
+                             [(300, 520), (255, 257), (256, 513), (1, 512)])
+    def test_prefix_stability_across_blocks(self, paper_system, n_short, n_long):
         grid = make_grid(paper_system.geometry, 8, 8)
-        short = run_replicates(paper_system, grid, 300, 42)
-        long = run_replicates(paper_system, grid, 520, 42)
-        assert np.array_equal(short.snr_samples, long.snr_samples[:300])
-        assert np.array_equal(short.y_samples, long.y_samples[:300])
+        short = run_replicates(paper_system, grid, n_short, 42)
+        long = run_replicates(paper_system, grid, n_long, 42)
+        assert np.array_equal(short.snr_samples, long.snr_samples[:n_short])
+        assert np.array_equal(short.y_samples, long.y_samples[:n_short])
 
     def test_seed_changes_samples(self, paper_system):
         grid = make_grid(paper_system.geometry, 8, 8)

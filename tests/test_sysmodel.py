@@ -15,6 +15,7 @@ from contris.sysmodel import (
     LinkBudget,
     SurfaceGeometry,
     bs_correlation_matrix,
+    clip_spectrum,
     derive_gains,
     derive_link_distances,
     path_loss_gain,
@@ -217,6 +218,17 @@ class TestPsdRepair:
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
         out = psd_repair(r)
         assert np.allclose(out, r, atol=1e-14)
+
+    def test_spectrum_rules_judge_the_union(self):
+        # an exactly zero block beside a positive one is valid, and a
+        # roundoff-sized negative eigenvalue is measured against the union
+        clipped, mass = clip_spectrum(np.array([0.0, 0.0, -1e-9, 1e-8, 4.0]))
+        assert np.array_equal(clipped, [0.0, 0.0, 0.0, 1e-8, 4.0])
+        assert mass == pytest.approx(1e-9 / (4.0 + 1.1e-8), rel=1e-12)
+        with pytest.raises(CovarianceRepairFailure):
+            clip_spectrum(np.zeros(3))
+        with pytest.raises(CovarianceRepairFailure):
+            clip_spectrum(np.array([-1e-5, 0.5, 1.0]))
 
 
 class TestDeriveGains:
