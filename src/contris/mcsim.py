@@ -13,7 +13,7 @@ Determinism contract: replicates are drawn in fixed blocks of 256, and
 block b draws from its own stream seeded by (master seed, b), so results
 are a pure function of (seed, config, grid, n) and the first k samples of
 a longer run equal a shorter run's.  Reruns are bit-identical at a fixed
-BLAS thread count; another thread count may change the last bits.
+BLAS thread count; another thread count moves the samples by roundoff.
 """
 
 from __future__ import annotations
@@ -226,14 +226,31 @@ class FieldSampler:
         return field.reshape(nx * ny, k)
 
 
+def _fix_signs(eigvecs: np.ndarray) -> None:
+    """Flip eigenvector columns in place so each has a positive projection
+    on the ramp 1, 2, ..., n.
+
+    LAPACK leaves the sign of an eigenvector to the implementation, and
+    OpenBLAS picks other signs at another thread count, which would change
+    every sample drawn through the flipped columns.  The ramp has no mirror
+    or axis-swap symmetry, so neither the symmetric nor the antisymmetric
+    eigenvectors of such a symmetry are orthogonal to it.
+    """
+    ramp = np.arange(1.0, eigvecs.shape[0] + 1.0)
+    eigvecs *= np.where(ramp @ eigvecs < 0.0, -1.0, 1.0)
+
+
 def _block_factors(blocks) -> tuple[list, float]:
     """Real factors F_k with F_k F_k^T ~= block_k for the diagonal blocks
     of one symmetric matrix.
 
     The clipped-mass limit, the rejection ratio and the rank truncation are
     judged on the union of the block spectra, as for the whole matrix.
+    Each eigenvector's sign is fixed by :func:`_fix_signs`.
     """
     spectra = [np.linalg.eigh(0.5 * (block + block.T)) for block in blocks]
+    for _, eigvecs in spectra:
+        _fix_signs(eigvecs)
     eigvals, clipped_mass = clip_spectrum(np.concatenate([w for w, _ in spectra]))
     if clipped_mass > _CLIPPED_MASS_LIMIT:
         raise CovarianceRepairFailure(
@@ -476,7 +493,7 @@ def run_replicates(
     drawn in full.  The batch is therefore a pure function of (seed, cfg,
     grid, n), and the first k samples of a longer run equal a shorter
     run's.  Reruns are bit-identical at a fixed BLAS thread count; another
-    thread count may change the last bits of the factor and the products.
+    thread count changes the factor and the products by roundoff.
     """
     if n < 1:
         raise DomainError("n must be >= 1")

@@ -294,6 +294,32 @@ class TestRunReplicates:
         assert np.array_equal(a.snr_samples, b.snr_samples)
         assert np.array_equal(a.y_samples, b.y_samples)
 
+    def test_thread_count_moves_samples_only_by_roundoff(self, tmp_path):
+        # OpenBLAS returns other eigenvector signs at another thread count
+        # on the default square grid; with the signs fixed, the batches
+        # still differ, but only by roundoff
+        import contris
+        import os
+        import subprocess
+        import sys
+
+        script = ("import sys, numpy as np\n"
+                  "from contris import cli, mcsim\n"
+                  "s = cli.default_system()\n"
+                  "grid = mcsim.make_grid(s.geometry, 32, 32)\n"
+                  "np.save(sys.argv[1], mcsim.run_replicates(s, grid, 600, 3).y_samples)\n")
+        package_root = os.path.dirname(os.path.dirname(contris.__file__))
+        batches = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"y{threads}.npy"
+            subprocess.run([sys.executable, "-c", script, str(out)],
+                           env=env, check=True, timeout=300)
+            batches.append(np.load(out))
+        assert np.allclose(batches[0], batches[1], rtol=1e-6, atol=0.0)
+
     def test_prefix_stability_within_block(self, paper_system):
         grid = make_grid(paper_system.geometry, 8, 8)
         short = run_replicates(paper_system, grid, 40, 42)
