@@ -45,6 +45,10 @@ __all__ = [
     "psd_repair",
 ]
 
+# An eigenvalue more negative than this fraction of the largest one marks a
+# genuinely indefinite model rather than roundoff.
+_REJECT_RATIO = 1e-6
+
 
 class CorrelationKind(str, enum.Enum):
     SINC = "sinc"
@@ -222,7 +226,7 @@ def steering_vector(array: BsArrayConfig) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def clip_spectrum(eigvals: np.ndarray, reject_ratio: float = 1e-6):
+def clip_spectrum(eigvals: np.ndarray):
     """Clamp the negative eigenvalues of a correlation spectrum to 0.
 
     ``eigvals`` may be the union of the spectra of independent diagonal
@@ -230,15 +234,14 @@ def clip_spectrum(eigvals: np.ndarray, reject_ratio: float = 1e-6):
     ``(eigvals_clipped, clipped_mass)``, where clipped_mass is the removed
     fraction of total absolute eigenvalue mass.  Raises
     :class:`CovarianceRepairFailure` when the largest eigenvalue is not
-    positive, or when any eigenvalue is more negative than ``reject_ratio``
-    times the largest one, which indicates a genuinely indefinite model
-    rather than roundoff.
+    positive, or when any eigenvalue is more negative than ``_REJECT_RATIO``
+    times the largest one.
     """
     largest = eigvals.max()
     if largest <= 0.0:
         raise CovarianceRepairFailure("correlation matrix has no positive spectrum")
     smallest = eigvals.min()
-    if smallest < -reject_ratio * largest:
+    if smallest < -_REJECT_RATIO * largest:
         raise CovarianceRepairFailure(
             f"eigenvalue {smallest:.3e} too negative relative to {largest:.3e}")
     total_mass = np.abs(eigvals).sum()
@@ -246,14 +249,14 @@ def clip_spectrum(eigvals: np.ndarray, reject_ratio: float = 1e-6):
     return np.maximum(eigvals, 0.0), clipped_mass
 
 
-def clipped_eigh(matrix: np.ndarray, reject_ratio: float = 1e-6):
+def clipped_eigh(matrix: np.ndarray):
     """Eigendecompose a symmetric matrix and clip its spectrum.
 
     Returns ``(eigvals_clipped, eigvecs, clipped_mass)`` with the eigenvalues
     ascending; the spectrum rules are those of :func:`clip_spectrum`.
     """
     eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    clipped, clipped_mass = clip_spectrum(eigvals, reject_ratio)
+    clipped, clipped_mass = clip_spectrum(eigvals)
     return clipped, eigvecs, clipped_mass
 
 
