@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveVariance
-from .quadrature import QuadratureSpec, gauss_legendre, integrate_piecewise
+from .quadrature import QuadratureSpec, integrate_piecewise
 from .specfun import gauss_2f1_half, reg_lower_gamma
 from .sysmodel import (
     IsotropicCorrelation,
@@ -216,6 +216,25 @@ def _axis_nodes(length_m: float, model, base: int) -> int:
     return min(max(base, needed), _MAX_AXIS_NODES)
 
 
+def _axis_differences(n: int, length_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct node distances |x_i - x_j| of the n-point Gauss-Legendre rule
+    on [0, length_m], each with the summed weight products w_i w_j of the
+    node pairs at that distance.
+
+    The distances are taken on the reference nodes t in [-1, 1], made
+    exactly antisymmetric, and scaled afterwards: a pair (i, j) and its
+    mirror (n-1-j, n-1-i) then give the same bits and merge, which leaves
+    floor(n^2 / 4) + 1 distances.
+    """
+    t, w = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * (t - t[::-1])
+    w = 0.5 * (w + w[::-1])
+    diff, inv = np.unique(np.abs(t[:, None] - t[None, :]).ravel(), return_inverse=True)
+    weight = np.bincount(inv, weights=(w[:, None] * w[None, :]).ravel())
+    half = 0.5 * length_m
+    return half * diff, half * half * weight
+
+
 def moment_m2_quad4(
     geom: SurfaceGeometry,
     model: IsotropicCorrelation,
@@ -225,37 +244,23 @@ def moment_m2_quad4(
     """Second moment of Y by brute-force 4-D tensor Gauss-Legendre.
 
     Validation path only: evaluates the full double-surface integral of the
-    hypergeometric kernel.  The tensor sum is reduced to unique coordinate
-    differences per axis, which keeps the kernel evaluations near
-    (n_x^2 / 2) * (n_y^2 / 2) without changing the result.
+    hypergeometric kernel.  The tensor sum is reduced to the distinct
+    coordinate differences per axis, which keeps the kernel evaluations
+    near (n_x^2 / 4) * (n_y^2 / 4) without changing the result.
     """
     if not beta_ur > 0.0:
         raise DomainError("beta_ur must be positive")
     w, h = geom.canonical()
-    nx = _axis_nodes(w, model, quad.nodes_4d)
-    ny = _axis_nodes(h, model, quad.nodes_4d)
-
-    x, wx = gauss_legendre(nx, 0.0, w)
-    y, wy = gauss_legendre(ny, 0.0, h)
-
-    dx = np.abs(x[:, None] - x[None, :]).ravel()
-    wxx = (wx[:, None] * wx[None, :]).ravel()
-    ux, inv = np.unique(dx, return_inverse=True)
-    wx2 = np.bincount(inv, weights=wxx)
-
-    dy = np.abs(y[:, None] - y[None, :]).ravel()
-    wyy = (wy[:, None] * wy[None, :]).ravel()
-    uy, inv = np.unique(dy, return_inverse=True)
-    wy2 = np.bincount(inv, weights=wyy)
+    ux, wx = _axis_differences(_axis_nodes(w, model, quad.nodes_4d), w)
+    uy, wy = _axis_differences(_axis_nodes(h, model, quad.nodes_4d), h)
 
     # chunk over the x-differences so the kernel matrix stays bounded
-    chunk = max(1, int(4e6 // max(uy.size, 1)))
+    chunk = max(1, int(4e6 // uy.size))
     total = 0.0
     for lo in range(0, ux.size, chunk):
-        hi = min(ux.size, lo + chunk)
-        r = np.hypot(ux[lo:hi, None], uy[None, :])
+        r = np.hypot(ux[lo:lo + chunk, None], uy[None, :])
         kernel = _hyper_kernel(model, beta_ur, r.ravel()).reshape(r.shape)
-        total += float(wx2[lo:hi] @ kernel @ wy2)
+        total += float(wx[lo:lo + chunk] @ kernel @ wy)
     return total
 
 

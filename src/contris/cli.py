@@ -62,6 +62,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -412,8 +413,25 @@ def _point_seed(master: int, salt: int, index: int) -> int:
     return int(np.random.SeedSequence((master, salt, index)).generate_state(1, np.uint64)[0])
 
 
+# The Monte Carlo columns move by roundoff with the BLAS library and its
+# thread count, so the provenance records both.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no such config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def _provenance(cfg: ExperimentConfig) -> dict:
-    return {"config_sha256": config_hash(cfg), "seed": cfg.seed, "version": __version__}
+    return {"config_sha256": config_hash(cfg), "seed": cfg.seed, "version": __version__,
+            "numpy": np.__version__, "blas": _blas(),
+            **{var: os.environ.get(var, "unset") for var in _BLAS_THREAD_VARS},
+            "grid": f"{cfg.grid[0]}x{cfg.grid[1]}", "replicates": cfg.replicates}
 
 
 def _fig2_rows(cfg, point, snr, batch):

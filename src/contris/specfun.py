@@ -7,10 +7,13 @@ regularized lower incomplete gamma function P(a, x).
 
 Implementation notes
 --------------------
-* ``bessel_j0`` uses the ascending power series for |x| <= 12 and a
-  Hankel-type asymptotic expansion beyond.  The crossover keeps the series
-  cancellation below ~1e-12 while the truncated asymptotic tail is already
-  below 1e-11 at x = 12.
+* ``bessel_j0`` evaluates short fits made against mpmath by
+  ``tools/fit_j0.py``.  For |x| <= 12, J0 is a degree-18 Chebyshev series
+  in (x/12)^2, summed by Clenshaw's recurrence.  Beyond, J0 takes the
+  modulus-phase form of Abramowitz & Stegun 9.2.17, J0 = M0 cos(theta0):
+  sqrt(x) M0 and x (theta0 - x + pi/4) are degree-8 polynomials in
+  (12/x)^2, summed by Horner's rule, so each element costs one cosine.
+  Absolute error is below 2e-15 on [0, 1e3].
 * ``gauss_2f1_half`` is closed form: 2F1 = (2/pi) [2E(z) - (1 - z) K(z)],
   with the complete elliptic integrals K and E from the arithmetic-geometric
   mean (Abramowitz & Stegun 17.6).  Nine AGM steps reach full precision on
@@ -63,15 +66,54 @@ def sinc_norm(x):
     return np.sinc(x)
 
 
-# Hankel expansion coefficients a_k = ((2k-1)!!)^2 / (k! 8^k), k = 0..17.
-# a_17/x^17 at the crossover x = 12 is ~2e-11, which bounds the truncation
-# error of the asymptotic branch.
-_HANKEL_A = [1.0]
-for _k in range(1, 18):
-    _HANKEL_A.append(_HANKEL_A[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
-
+# Coefficients of J0, written by tools/fit_j0.py (which also checks them):
+# J0 below the crossover as a Chebyshev series in u = 2 (x/12)^2 - 1, and
+# above it sqrt(x) M0(x) and x (theta0(x) - x + pi/4) as polynomials in
+# s = (12/x)^2, lowest power first.
 _J0_CROSSOVER = 12.0
-_J0_SERIES_TERMS = 56  # terms beyond this underflow for |x| <= 12
+_J0_SMALL = (
+    0.022693993532219042,
+    -0.1531079146967097,
+    0.11797479223272866,
+    -0.02634356430873913,
+    0.2558150206349379,
+    -0.2622140996006976,
+    0.12087152677762113,
+    -0.033585400670970274,
+    0.006391731997575882,
+    -0.0008959418782227382,
+    9.699406281444883e-05,
+    -8.388165890824513e-06,
+    5.943867351531636e-07,
+    -3.520358344422562e-08,
+    1.770892390763905e-09,
+    -7.667379201172956e-11,
+    2.8893672713887814e-12,
+    -9.567692157274823e-14,
+    2.8070565443618097e-15,
+)
+_J0_MODULUS = (
+    0.7978845608028653,
+    -0.00034630406284620813,
+    3.9830978831584825e-06,
+    -1.4505336058595643e-07,
+    1.0849416418506373e-08,
+    -1.3662439925335107e-09,
+    2.4435977482562743e-10,
+    -4.659437774805481e-11,
+    5.696772956347805e-12,
+)
+_J0_PHASE = (
+    -0.12499999999999988,
+    0.00045211226849710726,
+    -1.0106592413614647e-05,
+    5.485786510917828e-07,
+    -5.456136194356462e-08,
+    8.543299315427734e-09,
+    -1.7925054832447324e-09,
+    3.7762399207326464e-10,
+    -4.873200634996681e-11,
+)
 
 
 # Elements per block of the blocked kernels: their temporaries stay in cache,
@@ -92,6 +134,23 @@ def _blockwise(kernel, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _clenshaw(coef, u):
+    """sum_k coef[k] T_k(u) by Clenshaw's recurrence."""
+    u2 = u + u
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coef[0]
+
+
+def _horner(coef, s):
+    """sum_k coef[k] s^k by Horner's rule."""
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = acc * s + c
+    return acc
+
+
 def _bessel_j0_block(x):
     arr = np.abs(x)
     if np.isnan(arr).any():
@@ -101,36 +160,32 @@ def _bessel_j0_block(x):
     small = arr <= _J0_CROSSOVER
     xs = arr[small]
     if xs.size:
-        q = -0.25 * xs * xs
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for k in range(1, _J0_SERIES_TERMS):
-            term = term * q / (k * k)
-            acc = acc + term
-        out[small] = acc
+        u = xs * xs * (2.0 / (_J0_CROSSOVER * _J0_CROSSOVER)) - 1.0
+        out[small] = _clenshaw(_J0_SMALL, u)
 
     large = ~small & (arr < math.inf)
     xl = arr[large]
     if xl.size:
         inv = 1.0 / xl
-        inv2 = inv * inv
-        p = np.zeros_like(xl)
-        q_ = np.zeros_like(xl)
-        for j in range(9):  # even coefficients a_0 .. a_16
-            p += ((-1) ** j) * _HANKEL_A[2 * j] * inv2 ** j
-        for j in range(8):  # odd coefficients a_1 .. a_15, leading term -1/(8x)
-            q_ += ((-1) ** (j + 1)) * _HANKEL_A[2 * j + 1] * inv * inv2 ** j
-        chi = xl - 0.25 * math.pi
-        out[large] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(chi) - q_ * np.sin(chi))
+        s = inv * inv * (_J0_CROSSOVER * _J0_CROSSOVER)
+        # the small phase terms first, so the argument is rounded only once
+        phase = _horner(_J0_PHASE, s) * inv - 0.25 * math.pi
+        out[large] = _horner(_J0_MODULUS, s) * np.sqrt(inv) * np.cos(xl + phase)
     return out
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
-    Even in x; absolute accuracy better than 1e-10 on [0, 1e3]; 0 at +-inf.
-    Raises :class:`DomainError` on NaN.  Accepts scalars or arrays of any
-    shape.
+    Even in x; absolute error below 1e-14 on [0, 1e3] (2e-15 measured
+    against mpmath); exactly 1 at 0 and 0 at +-inf.  Raises
+    :class:`DomainError` on NaN.  Accepts scalars or arrays of any shape.
+
+    For |x| <= 12 the value is a Chebyshev series in 2 (x/12)^2 - 1.  Above,
+    J0 = M0 cos(theta0) with the modulus M0 = sqrt(J0^2 + Y0^2) and the phase
+    theta0 = x - pi/4 + atan(Q0/P0) of the Hankel expansion; sqrt(x) M0 and
+    x (theta0 - x + pi/4) are polynomials in (12/x)^2, truncated from their
+    Chebyshev interpolants.
     """
     return _blockwise(_bessel_j0_block, x)
 

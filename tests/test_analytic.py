@@ -31,6 +31,7 @@ from contris.analytic import (
 from contris.cli import default_system
 from contris.errors import DomainError, NonPositiveVariance
 from contris.quadrature import QuadratureSpec, integrate_piecewise
+from contris.specfun import gauss_2f1_half
 from contris.sysmodel import (
     CorrelationKind,
     IsotropicCorrelation,
@@ -157,6 +158,42 @@ class TestMomentM2:
         m1 = moment_m1(geom, BETA_UR)
         for model in (sinc_model(0.5), jakes(1.0)):
             assert moment_m2_quad4(geom, model, BETA_UR) >= m1 ** 2 * (1.0 - 1e-9)
+
+    # Surfaces small enough that the oscillation rule keeps nodes_4d nodes
+    # per axis (5 L kappa / wavelength <= 8 at kappa = 1).
+    SMALL_SURFACES = (SurfaceGeometry(0.06, 0.06), SurfaceGeometry(0.08, 0.004))
+
+    @staticmethod
+    def tensor_sum(geom, model, n):
+        """The plain n^4 tensor Gauss-Legendre sum of the m2 integrand."""
+        t, wt = np.polynomial.legendre.leggauss(n)
+        w, h = geom.canonical()
+        x, y = 0.5 * w * (t + 1.0), 0.5 * h * (t + 1.0)
+        x1, y1, x2, y2 = np.meshgrid(x, y, x, y, indexing="ij")
+        rho = model.rho(np.hypot(x1 - x2, y1 - y2))
+        kernel = 0.25 * math.pi * BETA_UR * gauss_2f1_half(np.clip(rho * rho, 0.0, 1.0))
+        weights = np.einsum("i,j,k,l->ijkl", 0.5 * w * wt, 0.5 * h * wt,
+                            0.5 * w * wt, 0.5 * h * wt)
+        return float((weights * kernel).sum())
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("geom", SMALL_SURFACES, ids=["square", "20to1"])
+    @pytest.mark.parametrize("model", [sinc_model(0.0), sinc_model(1.0), jakes(0.0), jakes(1.0)],
+                             ids=["sinc0", "sinc1", "jakes0", "jakes1"])
+    def test_quad4_equals_unreduced_tensor_sum(self, n, geom, model):
+        reduced = moment_m2_quad4(geom, model, BETA_UR, QuadratureSpec(nodes_4d=n))
+        assert reduced == pytest.approx(self.tensor_sum(geom, model, n), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 9, 32])
+    @pytest.mark.parametrize("geom", SMALL_SURFACES, ids=["square", "20to1"])
+    def test_quad4_kernel_points(self, n, geom, monkeypatch):
+        # a node pair and its mirror share one kernel evaluation per axis
+        points = []
+        rho = IsotropicCorrelation.rho
+        monkeypatch.setattr(IsotropicCorrelation, "rho",
+                            lambda self, r: points.append(np.size(r)) or rho(self, r))
+        moment_m2_quad4(geom, jakes(1.0), BETA_UR, QuadratureSpec(nodes_4d=n))
+        assert 0 < sum(points) <= (n * n // 4 + 1) ** 2
 
     def test_decorrelation_shrinks_m2(self):
         geom = SurfaceGeometry(math.sqrt(0.2), math.sqrt(0.2))

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +288,25 @@ class TestMain:
         body = out.read_text()
         assert body.startswith("# config_sha256=")
         assert "kappa,seb,det,det_over_seb_pct" in body
+
+    def test_rerun_csv_identical_with_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"nx": 8, "ny": 6}, "replicates": 150,
+                                        "sweep": {"areas_m2": [0.1]}, "seed": 3}))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert cli.main(["--config", str(cfg_path), "--scenario", "fig2",
+                             "--out", str(out)]) == 0
+        first, second = (out.read_bytes() for out in outs)
+        assert first == second
+        header = dict(line[2:].split("=", 1) for line in first.decode().splitlines()
+                      if line.startswith("# "))
+        assert header["numpy"] == np.__version__
+        assert header["blas"] and header["blas"] != "unknown"
+        assert header["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        assert header["OMP_NUM_THREADS"] == "unset"
+        assert header["grid"] == "8x6" and header["replicates"] == "150"
 
     def test_overrides_change_hash(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

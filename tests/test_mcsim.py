@@ -24,6 +24,7 @@ from contris.mcsim import (
     suggest_grid,
     surface_blocks,
 )
+from contris.specfun import gauss_2f1_half
 from contris.sysmodel import (
     BsArrayConfig,
     CorrelationKind,
@@ -54,6 +55,19 @@ def dense_correlation(geom, grid, model):
     corr = model.rho(dist)
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def grid_variance(geom, model, beta_ur, nx, ny):
+    """Exact E[Y^2] of the grid Riemann sum: cell_area^2 times the sum of
+    E|h_p||h_q| = (pi beta_ur / 4) 2F1(-1/2, -1/2; 1; rho^2) over all cell
+    pairs, gathered from the offset table with the multiplicity of each
+    offset (i, j), (nx - |i|)(ny - |j|) per sign."""
+    i, j = np.arange(nx)[:, None], np.arange(ny)[None, :]
+    rho = model.rho(np.hypot(i * (geom.width_m / nx), j * (geom.height_m / ny)))
+    kernel = 0.25 * math.pi * beta_ur * gauss_2f1_half(np.clip(rho * rho, 0.0, 1.0))
+    kernel[0, 0] = beta_ur
+    pairs = (nx - i) * (ny - j) * np.where(i > 0, 2, 1) * np.where(j > 0, 2, 1)
+    return (geom.area_m2 / (nx * ny)) ** 2 * float((pairs * kernel).sum())
 
 
 def reflection_basis(n, sign):
@@ -355,23 +369,29 @@ class TestRunReplicates:
         assert first.mean_snr == batch.snr_samples.mean()
 
     def test_variance_grid_convergence(self, paper_system, batches):
-        # Var[Y] is grid-sensitive (unlike the mean): refining the grid
-        # walks it toward the closed-form variance in a Cauchy fashion
+        # Var[Y] is grid-sensitive (unlike the mean).  Each grid's Monte
+        # Carlo variance must match that grid's exact variance, and the
+        # exact grid variances must walk toward the closed form.
         from contris.analytic import moment_m2_iso
 
-        gains = derive_gains(paper_system)
-        m1 = moment_m1(paper_system.geometry, gains.beta_ur)
-        m2 = moment_m2_iso(paper_system.geometry, paper_system.correlation,
-                           gains.beta_ur)
-        target = m2 - m1 ** 2
-        n = 10 ** 4
-        estimates = {side: batches(paper_system, side, side, n).summaries().var_y
-                     for side in (8, 16, 32, 64)}
-        gaps = [abs(estimates[s] - target) for s in (8, 16, 32, 64)]
+        geom = paper_system.geometry
+        beta_ur = derive_gains(paper_system).beta_ur
+        m1 = moment_m1(geom, beta_ur)
+        target = moment_m2_iso(geom, paper_system.correlation, beta_ur) - m1 ** 2
+        sides = (8, 16, 32, 64)
+        exact = [grid_variance(geom, paper_system.correlation, beta_ur, side, side) - m1 ** 2
+                 for side in sides]
+        gaps = [abs(v - target) for v in exact]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
-        # 3 SE of a variance estimate plus a 2% discretization allowance
-        se_var = target * math.sqrt(2.0 / n)
-        assert gaps[3] < 3.0 * se_var + 0.02 * target
+        assert gaps[3] < 1e-3 * target
+        n = 10 ** 4
+        for side, var_exact in zip(sides, exact):
+            y = batches(paper_system, side, side, n).y_samples
+            var = y.var(ddof=1)
+            # standard error of a variance estimate, from the fourth moment
+            m4 = np.mean((y - y.mean()) ** 4)
+            se = math.sqrt((m4 - var * var * (n - 3) / (n - 1)) / n)
+            assert abs(var - var_exact) < 4.0 * se, (side, (var - var_exact) / se)
 
 
 class TestEmpiricalCdf:

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +76,22 @@ class TestBesselJ0:
         xs = np.linspace(0.0, 50.0, 1000)
         ref = np.array([j0_series_oracle(x) for x in xs])
         assert np.max(np.abs(bessel_j0(xs) - ref)) < 1e-10
+
+    def test_mpmath_dense_grid(self):
+        # absolute error on [0, 1e3], with extra points within +-1 of the
+        # crossover x = 12 between the two series
+        xs = np.concatenate([np.linspace(0.0, 1e3, 10001),
+                             12.0 + np.linspace(-1.0, 1.0, 401),
+                             np.nextafter(12.0, [0.0, 13.0])])
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(0, x)) for x in xs])
+        assert np.max(np.abs(bessel_j0(xs) - ref)) <= 1e-14
+
+    def test_fit_tool_reproduces_coefficients(self):
+        tool = Path(__file__).resolve().parents[1] / "tools" / "fit_j0.py"
+        result = subprocess.run([sys.executable, str(tool), "--check"],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_large_arguments(self):
         # spot checks across the asymptotic branch out to 1e3
