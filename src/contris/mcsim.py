@@ -7,7 +7,9 @@ that the per-draw SNR reduces to a function of the aggregate amplitude Y,
 the direct channel and the arrival steering vector.  No symbol-level
 waveform is ever materialized.  The grid covariance depends only on the
 cell offsets, and the grid's reflections split it into four independent
-blocks, which are built and factorized separately.
+blocks, which are built and factorized separately.  The replicate loop
+sums Y from the four blocks' parts of the field over a few mirror rows at
+a time and never builds the field on the whole grid.
 
 Determinism contract: replicates are drawn in fixed blocks of 256, and
 block b draws from its own stream seeded by (master seed, b), so results
@@ -19,6 +21,7 @@ BLAS thread count; another thread count moves the samples by roundoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +70,9 @@ _RANK_TRUNCATION = 1e-13
 
 _CLIPPED_MASS_LIMIT = 1e-6
 
+# field values that FieldSampler.abs_sums unfolds at a time, 0.5 MB
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -77,10 +83,10 @@ class GridSpec:
     cell_area: float
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise DomainError("grid must have at least 2 points per axis")
-        if not self.cell_area > 0.0:
-            raise DomainError("cell_area must be positive")
+        if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.nx, self.ny)):
+            raise DomainError("grid point counts must be integers >= 2")
+        if not 0.0 < self.cell_area < math.inf:
+            raise DomainError("cell_area must be positive and finite")
 
     @property
     def n_points(self) -> int:
@@ -180,12 +186,14 @@ class FieldSampler:
     """Factorized covariance of the surface field on a grid.
 
     ``blocks`` holds one real factor per block of :func:`surface_blocks`,
-    in its order.  Block k's factor maps its coefficients to the field at
-    the representative cells (the lower quarter of the grid), with the
-    basis weights and the unit row-power scaling in its rows; :meth:`apply`
-    unfolds the four onto the whole grid.  The dense factor
-    ``apply(np.eye(rank))`` satisfies factor @ factor^T ~= beta_ur * Sigma
-    with exact per-point marginal variance beta_ur.
+    in its order.  Block k's factor maps its coefficients to the field's
+    parity part k at the representative cells (the lower quarter of the
+    grid), with the basis weights and the unit row-power scaling in its
+    rows.  :meth:`apply` unfolds the four parts onto the whole grid, and
+    :meth:`abs_sums` sums the field's magnitude over the grid chunk by
+    chunk without building it.  The dense factor ``apply(np.eye(rank))``
+    satisfies factor @ factor^T ~= beta_ur * Sigma with exact per-point
+    marginal variance beta_ur.
     """
 
     blocks: tuple
@@ -200,30 +208,70 @@ class FieldSampler:
     def rank(self) -> int:
         return sum(block.shape[1] for block in self.blocks)
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fields on the grid, (n_points, k), for real coefficient columns
-        (rank, k); rows follow the blocks in order."""
-        nx, ny = self.grid.nx, self.grid.ny
-        hx, hy = nx // 2, ny // 2
-        k = coeffs.shape[1]
-        field = np.empty((nx, ny, k))
-        odd_x = np.empty((hx, ny, k))
+    def _parts(self, coeffs: np.ndarray) -> list:
+        """The four parity parts, (x rows, y rows, k) each, for real
+        coefficient columns (rank, k); rows follow the blocks in order."""
+        ny, hy = self.grid.ny, self.grid.ny // 2
         parts, start = [], 0
         for block, (_, sy) in zip(self.blocks, _PARITIES):
             stop = start + block.shape[1]
             rows_y = ny - hy if sy > 0 else hy
-            parts.append((block @ coeffs[start:stop]).reshape(-1, rows_y, k))
+            parts.append((block @ coeffs[start:stop]).reshape(-1, rows_y, coeffs.shape[1]))
             start = stop
-        # unfold y within each x half, then x: a pair of mirror cells holds
-        # even + odd and even - odd, a centre cell its even part alone
-        for out, even, odd_y in ((field[:nx - hx], parts[0], parts[1]),
-                                 (odd_x, parts[2], parts[3])):
-            np.subtract(even[:, :hy], odd_y, out=out[:, ny - hy:][:, ::-1])
-            np.add(even[:, :hy], odd_y, out=out[:, :hy])
-            out[:, hy:ny - hy] = even[:, hy:]
-        np.subtract(field[:hx], odd_x, out=field[nx - hx:][::-1])
-        field[:hx] += odd_x
-        return field.reshape(nx * ny, k)
+        return parts
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """Fields on the grid, (n_points, k), for real coefficient columns
+        (rank, k); rows follow the blocks in order."""
+        field = np.empty((self.grid.nx, self.grid.ny, coeffs.shape[1]))
+        return _unfold(*self._parts(coeffs), field).reshape(self.n_points, -1)
+
+    def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
+        """Sum over the grid of |field|, (k / 2,), for the complex fields
+        whose real coefficients are the first k / 2 columns of ``coeffs``
+        and whose imaginary ones are the last k / 2.
+
+        The field is unfolded a few lower-half x rows and their mirror rows
+        at a time, about _CHUNK values whatever the number of columns, and
+        only their magnitudes are kept.
+        """
+        ee, eo, oe, oo = self._parts(coeffs)
+        ny, k = self.grid.ny, coeffs.shape[1]
+        half = k // 2
+        step = max(1, _CHUNK // (2 * ny * k))
+        out = np.empty((2 * step, ny, k))
+        magnitude = np.empty((2 * step * ny, half))
+        total = np.zeros(half)
+        for lo in range(0, ee.shape[0], step):
+            rows = slice(lo, lo + step)
+            cells = ee[rows].shape[0] + oe[rows].shape[0]
+            field = _unfold(ee[rows], eo[rows], oe[rows], oo[rows], out[:cells]).reshape(-1, k)
+            field *= field
+            power = np.add(field[:, :half], field[:, half:], out=magnitude[:field.shape[0]])
+            total += np.sqrt(power, out=power).sum(axis=0)
+        return total
+
+
+def _unfold(ee, eo, oe, oo, out):
+    """The field at a run of lower-half x rows and at their mirror rows,
+    from the four parity parts of those rows, (x rows, y rows, k) each.
+
+    A mirror quartet of cells holds (ee +- eo) +- (oe +- oo), and a cell on
+    a centre line only its even terms.  ``out`` takes the rows of ``ee``
+    and then the mirror rows of ``oe`` in reverse order, so for the whole
+    lower half it is the whole grid.
+    """
+    ny, hy, mx = out.shape[1], eo.shape[1], oe.shape[0]
+    odd_x = np.empty((mx,) + out.shape[1:])
+    # unfold y within each x half, then x: a pair of mirror cells holds
+    # even + odd and even - odd, a centre cell its even part alone
+    for dst, even, odd_y in ((out[:ee.shape[0]], ee, eo), (odd_x, oe, oo)):
+        np.subtract(even[:, :hy], odd_y, out=dst[:, ny - hy:][:, ::-1])
+        np.add(even[:, :hy], odd_y, out=dst[:, :hy])
+        dst[:, hy:ny - hy] = even[:, hy:]
+    np.subtract(out[:mx], odd_x, out=out[out.shape[0] - mx:][::-1])
+    out[:mx] += odd_x
+    return out
 
 
 def _fix_signs(eigvecs: np.ndarray) -> None:
@@ -494,10 +542,14 @@ def run_replicates(
     grid, n), and the first k samples of a longer run equal a shorter
     run's.  Reruns are bit-identical at a fixed BLAS thread count; another
     thread count changes the factor and the products by roundoff.
+
+    Y is summed by :meth:`FieldSampler.abs_sums` from the parity parts of
+    the field, in a fixed order of chunks, so it equals the Riemann sum of
+    :meth:`FieldSampler.apply`'s field to roundoff, not bit for bit.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if seed < 0:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError("n must be an integer >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError("seed must be a nonnegative integer")
     if abs(grid.cell_area * grid.n_points - cfg.geometry.area_m2) > 1e-9 * cfg.geometry.area_m2:
         raise DomainError("grid does not cover the configured surface")
@@ -505,7 +557,10 @@ def run_replicates(
     gains = derive_gains(cfg)
     sampler = build_surface_covariance(cfg.geometry, grid, cfg.correlation, gains.beta_ur)
     r_d = bs_correlation_matrix(cfg.array, cfg.bs_correlation)
-    direct_factor = math.sqrt(gains.beta_d) * _unit_factor(r_d)
+    # the normals have unit variance and a complex draw 1/2 per component,
+    # so sqrt(1/2) goes into the direct factor and into Y's scale
+    direct_factor = math.sqrt(0.5 * gains.beta_d) * _unit_factor(r_d)
+    y_scale = grid.cell_area * _SQRT_HALF
     a_b = steering_vector(cfg.array)
     rank_f = sampler.rank
 
@@ -518,15 +573,8 @@ def run_replicates(
         # real parts of the block's replicates, then their imaginary parts
         z = random_stream(seed, start // _BLOCK).standard_normal(
             (rank_f + direct_factor.shape[1], 2 * _BLOCK))
-        z *= _SQRT_HALF
         rows = slice(start, start + _BLOCK)
-
-        power = sampler.apply(z[:rank_f])
-        power *= power
-        magnitude = power[:, :_BLOCK]
-        magnitude += power[:, _BLOCK:]
-        y[rows] = grid.cell_area * np.sqrt(magnitude, out=magnitude).sum(axis=0)
-
+        y[rows] = y_scale * sampler.abs_sums(z[:rank_f])
         h = direct_factor @ z[rank_f:]
         h_d = h[:, :_BLOCK] + 1j * h[:, _BLOCK:]
         hd_power[rows] = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature and Gauss-Legendre node helpers.
+"""Adaptive Gauss-Kronrod quadrature.
 
 The 7-15 Gauss-Kronrod pair is applied per segment; whenever the summed
 error estimate misses the tolerance, the segments carrying more than their
@@ -24,7 +24,6 @@ __all__ = [
     "QuadratureSpec",
     "adaptive_gauss_kronrod",
     "integrate_piecewise",
-    "gauss_legendre",
 ]
 
 
@@ -161,10 +160,3 @@ def integrate_piecewise(
             value, _ = adaptive_gauss_kronrod(f, a, b, spec, max_segments)
             total += value
     return total
-
-
-def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped onto [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w

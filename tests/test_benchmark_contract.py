@@ -109,3 +109,18 @@ def test_hook_result_attributes():
                                              gains.beta_ur)
     assert isinstance(sampler.rank, int) and 1 <= sampler.rank <= grid.n_points
     assert mcsim.run_replicates(system, grid, 3, 0).n == 3
+
+
+def test_covariance_hook_contract():
+    # perfbench/layers.py::_covariance reads geom, grid and model by position
+    # and the rank and grid off the result
+    params = inspect.signature(mcsim.build_surface_covariance).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("geom", "grid", "model", "beta_ur")]
+    system = cli.default_system()
+    grid = mcsim.make_grid(system.geometry, 5, 4)
+    beta_ur = sysmodel.derive_gains(system).beta_ur
+    sampler = mcsim.build_surface_covariance(system.geometry, grid, system.correlation, beta_ur)
+    assert sampler.grid == grid and sampler.grid.n_points == 20
+    assert isinstance(sampler.rank, int) and 1 <= sampler.rank <= grid.n_points

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from contris import mcsim
 from contris.analytic import moment_m1
 from contris.errors import DomainError
 from contris.mcsim import (
     EmpiricalCdf,
+    GridSpec,
     PhaseProfile,
     build_surface_covariance,
     compute_Y,
@@ -16,6 +18,7 @@ from contris.mcsim import (
     make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
+    random_stream,
     run_replicates,
     sample_direct_channel,
     sample_field,
@@ -102,6 +105,15 @@ class TestGrid:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             make_grid(SurfaceGeometry(1.0, 1.0), 1, 4)
+
+    @pytest.mark.parametrize("nx,ny,cell_area", [
+        (2.5, 3, 0.1), (3.0, 3, 0.1), (3, 4.0, 0.1), (3, 3, math.inf), (3, 3, math.nan)])
+    def test_non_integral_counts_and_non_finite_area_rejected(self, nx, ny, cell_area):
+        with pytest.raises(DomainError):
+            GridSpec(nx=nx, ny=ny, cell_area=cell_area)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert GridSpec(nx=np.int64(3), ny=np.int32(4), cell_area=0.1).n_points == 12
 
     def test_suggest_grid_resolves_correlation(self):
         geom = SurfaceGeometry(2.0, 0.1)
@@ -360,6 +372,57 @@ class TestRunReplicates:
         foreign = make_grid(SurfaceGeometry(1.0, 1.0), 8, 8)
         with pytest.raises(DomainError):
             run_replicates(paper_system, foreign, 10, 0)
+
+    @pytest.mark.parametrize("n,seed", [(10.5, 0), (10.0, 0), (0, 0), (10, 1.5), (10, -1)])
+    def test_non_integral_or_out_of_range_n_and_seed_rejected(self, paper_system, n, seed):
+        grid = make_grid(paper_system.geometry, 4, 4)
+        with pytest.raises(DomainError):
+            run_replicates(paper_system, grid, n, seed)
+
+    @pytest.mark.parametrize("budget", ["default", "one row"])
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 7), (8, 8), (8, 5), (5, 6), (43, 3)])
+    def test_y_equals_the_unfolded_field(self, paper_system, kind, nx, ny, budget,
+                                         monkeypatch):
+        # Y is summed from the parity parts chunk by chunk; it must equal the
+        # Riemann sum of the unfolded field on the same normals.  43x3 puts
+        # the centre x row alone in the last chunk of the default budget;
+        # a budget of one value gives every quarter x row its own chunk.
+        if budget == "one row":
+            monkeypatch.setattr(mcsim, "_CHUNK", 1)
+        system = dataclasses.replace(
+            paper_system, correlation=dataclasses.replace(paper_system.correlation, kind=kind))
+        grid = make_grid(system.geometry, nx, ny)
+        n, seed = 300, 8
+        y = run_replicates(system, grid, n, seed).y_samples
+        sampler = build_surface_covariance(system.geometry, grid, system.correlation,
+                                           derive_gains(system).beta_ur)
+        expect = []
+        for block in range(2):
+            # the field's normals lead the block's draw
+            z = random_stream(seed, block).standard_normal((sampler.rank, 512))
+            re, im = np.split(sampler.apply(math.sqrt(0.5) * z), 2, axis=1)
+            expect += [compute_Y(field, grid) for field in (re + 1j * im).T]
+        expect = np.array(expect[:n])
+        assert np.max(np.abs(y - expect) / expect) <= 1e-13
+
+    def test_replicate_loop_never_builds_the_field(self, paper_system):
+        # the (n_points, 512) field of a 49x49 block alone is 9.6 MB, and the
+        # unfolded loop peaked at 42 MB; the chunked one needs 28 MB
+        import tracemalloc
+
+        system = dataclasses.replace(
+            paper_system,
+            correlation=dataclasses.replace(paper_system.correlation, kind=CorrelationKind.SINC))
+        grid = make_grid(system.geometry, 49, 49)
+        run_replicates(system, grid, 512, 1)
+        tracemalloc.start()
+        try:
+            run_replicates(system, grid, 512, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
     def test_summaries_recomputable(self, paper_system, batches):
         batch = batches(paper_system, 8, 8, 4000)

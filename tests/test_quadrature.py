@@ -7,7 +7,6 @@ from contris.errors import DomainError, QuadratureFailure
 from contris.quadrature import (
     QuadratureSpec,
     adaptive_gauss_kronrod,
-    gauss_legendre,
     integrate_piecewise,
 )
 
@@ -51,17 +50,6 @@ class TestIntegratePiecewise:
     def test_duplicate_breakpoints_skipped(self):
         value = integrate_piecewise(np.cos, [0.0, 0.7, 0.7, 1.0])
         assert value == pytest.approx(math.sin(1.0), rel=1e-12)
-
-
-class TestGaussLegendre:
-    def test_weights_sum_to_length(self):
-        _, w = gauss_legendre(17, 2.0, 5.0)
-        assert w.sum() == pytest.approx(3.0, rel=1e-13)
-
-    def test_polynomial_exactness(self):
-        # degree 2n-1 polynomials are integrated exactly
-        x, w = gauss_legendre(6, 0.0, 1.0)
-        assert (w @ x ** 11) == pytest.approx(1.0 / 12.0, rel=1e-13)
 
 
 class TestQuadratureSpec:
