@@ -93,10 +93,10 @@ class SnrMoments:
     mu2: float
 
     def __post_init__(self):
-        if not self.mu1 > 0.0:
-            raise DomainError("mu1 must be positive")
-        if self.mu2 < self.mu1 ** 2 * (1.0 - 1e-12):
-            raise DomainError("mu2 implies negative variance")
+        if not 0.0 < self.mu1 < math.inf:
+            raise DomainError("mu1 must be positive and finite")
+        if not self.mu1 ** 2 * (1.0 - 1e-12) <= self.mu2 < math.inf:
+            raise DomainError("mu2 must be finite and imply a nonnegative variance")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class GammaFit:
     beta_g: float
 
     def __post_init__(self):
-        if not (self.alpha_g > 0.0 and self.beta_g > 0.0):
-            raise DomainError("gamma parameters must be positive")
+        if not (0.0 < self.alpha_g < math.inf and 0.0 < self.beta_g < math.inf):
+            raise DomainError("gamma parameters must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -125,8 +125,8 @@ def moment_m1(geom: SurfaceGeometry, beta_ur: float) -> float:
     Exact for any correlation model; the mean of a Rayleigh magnitude does
     not depend on the correlation structure.
     """
-    if not beta_ur > 0.0:
-        raise DomainError("beta_ur must be positive")
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
     return 0.5 * math.sqrt(math.pi * beta_ur) * geom.area_m2
 
 
@@ -181,23 +181,23 @@ def moment_m2_iso(
     geom: SurfaceGeometry,
     model: IsotropicCorrelation,
     beta_ur: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Second moment of Y for isotropic correlation, by 1-D quadrature.
 
     Evaluates W^2 H^2 * integral of g(r) f_s(r) over the distance support,
-    split at the derivative kinks of the distance density.  Always at least
-    m1^2 up to quadrature error.
+    split at the derivative kinks of the distance density, to the default
+    :class:`QuadratureSpec` tolerances.  Always at least m1^2 up to
+    quadrature error.
     """
-    if not beta_ur > 0.0:
-        raise DomainError("beta_ur must be positive")
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
     w, h = geom.canonical()
     diag = math.hypot(w, h)
 
     def integrand(r):
         return _hyper_kernel(model, beta_ur, r) * rect_distance_pdf(geom, r)
 
-    value = integrate_piecewise(integrand, [0.0, h, w, diag], quad)
+    value = integrate_piecewise(integrand, [0.0, h, w, diag])
     return w * w * h * h * value
 
 
@@ -248,8 +248,8 @@ def moment_m2_quad4(
     coordinate differences per axis, which keeps the kernel evaluations
     near (n_x^2 / 4) * (n_y^2 / 4) without changing the result.
     """
-    if not beta_ur > 0.0:
-        raise DomainError("beta_ur must be positive")
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
     w, h = geom.canonical()
     ux, wx = _axis_differences(_axis_nodes(w, model, quad.nodes_4d), w)
     uy, wy = _axis_differences(_axis_nodes(h, model, quad.nodes_4d), h)
@@ -343,12 +343,12 @@ def second_moment_snr(cfg: SystemConfig, moments: YMoments) -> float:
     return second_moment_snr_from_terms(link_terms(cfg), moments)
 
 
-def snr_moments(cfg: SystemConfig, quad: QuadratureSpec = QuadratureSpec()) -> SnrMoments:
+def snr_moments(cfg: SystemConfig) -> SnrMoments:
     """Mean and second moment of the optimal SNR for a full system
     configuration: link terms, then the Y moments, then the SNR moments."""
     terms = link_terms(cfg)
     m1 = moment_m1(cfg.geometry, terms.beta_ur)
-    m2 = moment_m2_iso(cfg.geometry, cfg.correlation, terms.beta_ur, quad)
+    m2 = moment_m2_iso(cfg.geometry, cfg.correlation, terms.beta_ur)
     return SnrMoments(
         mu1=mean_snr_from_terms(terms, m1, m2),
         mu2=second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2)))
@@ -372,15 +372,15 @@ def outage_probability(fit: GammaFit, x):
 
 def se_bound(mu1: float) -> float:
     """Jensen upper bound log2(1 + mu1) on the mean spectral efficiency."""
-    if mu1 < 0.0:
-        raise DomainError("mu1 must be >= 0")
+    if not 0.0 <= mu1 < math.inf:
+        raise DomainError("mu1 must be finite and >= 0")
     return math.log2(1.0 + mu1)
 
 
 def dominant_error_term(mu1: float, mu2: float) -> float:
     """Leading Taylor correction omitted by the spectral-efficiency bound."""
-    if mu2 < mu1 ** 2:
-        raise DomainError("mu2 < mu1^2 implies negative variance")
+    if not (0.0 <= mu1 and mu1 ** 2 <= mu2 < math.inf):
+        raise DomainError("need mu1 >= 0 and mu1^2 <= mu2 < inf")
     return (mu2 - mu1 ** 2) / (2.0 * math.log(2.0) * (1.0 + mu1) ** 2)
 
 
@@ -390,6 +390,6 @@ def cv_squared(mu1: float, mu2: float) -> float:
     Invariant under the scaling (mu1, mu2) -> (c mu1, c^2 mu2), so it does
     not depend on the transmit SNR.
     """
-    if not mu1 > 0.0:
-        raise DomainError("mu1 must be positive")
+    if not (0.0 < mu1 < math.inf and math.isfinite(mu2)):
+        raise DomainError("mu1 must be positive and finite, mu2 finite")
     return (mu2 - mu1 ** 2) / mu1 ** 2

@@ -84,14 +84,15 @@ from .analytic import (
 )
 from .errors import ConfigError, ContrisError, DomainError
 from .mcsim import (
-    empirical_cdf,
+    EmpiricalCdf,
     make_grid,
+    optimal_phase_profile,
     optimal_snr_sample,
     run_replicates,
     sample_direct_channel,
     sample_field,
     compute_Y,
-    snr_norm_form,
+    snr_under_profile,
     build_surface_covariance,
     random_stream,
 )
@@ -445,14 +446,12 @@ def _fig3_rows(cfg, point, snr, batch):
 
 
 def _fig4_rows(cfg, point, snr, batch):
-    fit = gamma_fit(snr.mu1, snr.mu2)
-    ecdf = empirical_cdf(batch)
-    rows = []
-    for t_db in cfg.sweep.thresholds_db:
-        x = _db_to_linear(t_db)
-        rows.append((point["area"], point["aspect"], point["model"].value, t_db,
-                     outage_probability(fit, x), ecdf(x)))
-    return rows
+    # one array call each; tolist() keeps the cells Python floats
+    x = [_db_to_linear(t_db) for t_db in cfg.sweep.thresholds_db]
+    gamma = outage_probability(gamma_fit(snr.mu1, snr.mu2), x).tolist()
+    empirical = EmpiricalCdf(batch.snr_samples)(x).tolist()
+    return [(point["area"], point["aspect"], point["model"].value, t_db, g, e)
+            for t_db, g, e in zip(cfg.sweep.thresholds_db, gamma, empirical)]
 
 
 def _fig5_rows(cfg, point, snr, batch):
@@ -536,8 +535,7 @@ def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
 # validation
 # --------------------------------------------------------------------------
 
-def validate(cfg: ExperimentConfig,
-             quad: QuadratureSpec = QuadratureSpec()) -> ValidationReport:
+def validate(cfg: ExperimentConfig) -> ValidationReport:
     """Run the cross-oracle consistency checks on the configured system."""
     checks = []
     system = cfg.system
@@ -558,8 +556,8 @@ def validate(cfg: ExperimentConfig,
     m1 = moment_m1(geom, gains.beta_ur)
 
     def m2_cross():
-        iso = moment_m2_iso(geom, system.correlation, gains.beta_ur, quad)
-        brute = moment_m2_quad4(geom, system.correlation, gains.beta_ur, quad)
+        iso = moment_m2_iso(geom, system.correlation, gains.beta_ur)
+        brute = moment_m2_quad4(geom, system.correlation, gains.beta_ur)
         return abs(iso - brute) / brute
 
     record("m2_iso_vs_quad4_rel", m2_cross, 1e-4)
@@ -583,7 +581,7 @@ def validate(cfg: ExperimentConfig,
            note=f"n={n_small}")
 
     # computed once, by the first check that succeeds in computing it
-    snr = functools.cache(lambda: snr_moments(system, quad))
+    snr = functools.cache(lambda: snr_moments(system))
 
     def jensen_slack():
         # bound minus empirical mean rate, in 3-standard-error units below 0
@@ -601,6 +599,7 @@ def validate(cfg: ExperimentConfig,
     record("gamma_fit_round_trip_rel", gamma_round_trip, 1e-12)
 
     def snr_identity():
+        # the expansion against the norm form under the optimal profile
         sampler = build_surface_covariance(geom, grid, system.correlation,
                                            gains.beta_ur)
         r_d = bs_correlation_matrix(system.array, system.bs_correlation)
@@ -612,7 +611,8 @@ def validate(cfg: ExperimentConfig,
             h_d = sample_direct_channel(r_d, gains.beta_d, rng)
             y = compute_Y(field, grid)
             expanded = optimal_snr_sample(h_d, y, a_b, system)
-            norm = snr_norm_form(h_d, y, a_b, system)
+            phases = optimal_phase_profile(field, h_d, a_b).phases
+            norm = snr_under_profile(field, h_d, a_b, phases, system, grid)
             worst = max(worst, abs(expanded - norm) / norm)
         return worst
 

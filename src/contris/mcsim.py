@@ -54,11 +54,9 @@ __all__ = [
     "sample_direct_channel",
     "optimal_phase_profile",
     "optimal_snr_sample",
-    "snr_norm_form",
     "snr_under_profile",
     "random_stream",
     "run_replicates",
-    "empirical_cdf",
 ]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -72,6 +70,12 @@ _CLIPPED_MASS_LIMIT = 1e-6
 
 # field values that FieldSampler.abs_sums unfolds at a time, 0.5 MB
 _CHUNK = 1 << 16
+
+# suggest_grid keeps cells below this fraction of the correlation period per
+# axis, with this many cells per axis at least and at most
+_CELL_FRACTION = 0.25
+_MIN_SIDE = 8
+_MAX_SIDE = 256
 
 
 @dataclass(frozen=True)
@@ -98,24 +102,18 @@ def make_grid(geom: SurfaceGeometry, nx: int, ny: int) -> GridSpec:
     return GridSpec(nx=nx, ny=ny, cell_area=geom.area_m2 / (nx * ny))
 
 
-def suggest_grid(
-    geom: SurfaceGeometry,
-    model: IsotropicCorrelation,
-    cell_fraction: float = 0.25,
-    min_side: int = 8,
-    max_side: int = 256,
-) -> GridSpec:
+def suggest_grid(geom: SurfaceGeometry, model: IsotropicCorrelation) -> GridSpec:
     """Grid whose cells resolve the correlation length of the field.
 
-    Cells are kept below ``cell_fraction`` of the effective correlation
-    period (wavelength / kappa) per axis.  Perfect correlation needs no
-    resolution, so kappa = 0 returns the minimum grid.
+    Cells are kept below a quarter of the effective correlation period
+    (wavelength / kappa) per axis, with 8 to 256 cells per axis.  Perfect
+    correlation needs no resolution, so kappa = 0 returns the minimum grid.
     """
     def side(length: float) -> int:
         if model.kappa <= 0.0:
-            return min_side
-        target = cell_fraction * model.wavelength_m / model.kappa
-        return min(max(min_side, math.ceil(length / target)), max_side)
+            return _MIN_SIDE
+        target = _CELL_FRACTION * model.wavelength_m / model.kappa
+        return min(max(_MIN_SIDE, math.ceil(length / target)), _MAX_SIDE)
 
     return make_grid(geom, side(geom.width_m), side(geom.height_m))
 
@@ -201,10 +199,6 @@ class FieldSampler:
     clipped_mass: float
 
     @property
-    def n_points(self) -> int:
-        return self.grid.n_points
-
-    @property
     def rank(self) -> int:
         return sum(block.shape[1] for block in self.blocks)
 
@@ -224,7 +218,7 @@ class FieldSampler:
         """Fields on the grid, (n_points, k), for real coefficient columns
         (rank, k); rows follow the blocks in order."""
         field = np.empty((self.grid.nx, self.grid.ny, coeffs.shape[1]))
-        return _unfold(*self._parts(coeffs), field).reshape(self.n_points, -1)
+        return _unfold(*self._parts(coeffs), field).reshape(self.grid.n_points, -1)
 
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """Sum over the grid of |field|, (k / 2,), for the complex fields
@@ -336,8 +330,8 @@ def build_surface_covariance(
     sqrt(beta_ur) go into the rows of the block factors, with the weight of
     each row's basis vector on the grid.
     """
-    if not beta_ur > 0.0:
-        raise DomainError("beta_ur must be positive")
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
     blocks = surface_blocks(geom, grid, model)
     weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
                for sx, sy in _PARITIES]
@@ -419,33 +413,22 @@ def optimal_phase_profile(
     return PhaseProfile(omega=omega, phases=phases, degenerate=degenerate)
 
 
-def optimal_snr_sample(
-    h_d: np.ndarray, y: float, a_b: np.ndarray, cfg: SystemConfig,
-) -> float:
-    """Post-design SNR for one channel draw, in expanded form."""
-    if y < 0.0:
+def optimal_snr_sample(h_d: np.ndarray, y, a_b: np.ndarray, cfg: SystemConfig):
+    """Post-design SNR in expanded form: gamma (||h_d||^2 + M beta_rb Y^2
+    + 2 sqrt(beta_rb) Y |a^H h_d|).
+
+    Scores one draw, h_d of shape (M,) with a scalar Y, or a block of
+    draws, the columns of h_d with an array of as many Y values.  Equals
+    :func:`snr_under_profile` under :func:`optimal_phase_profile` up to
+    roundoff.
+    """
+    if np.min(y) < 0.0:
         raise DomainError("Y must be >= 0")
     beta_rb = derive_gains(cfg).beta_rb
-    m = a_b.size
-    hd_power = float(np.real(np.vdot(h_d, h_d)))
-    proj_mag = abs(complex(np.vdot(a_b, h_d)))
+    hd_power = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
+    proj_mag = np.abs(a_b.conj() @ h_d)
     return cfg.transmit_snr * (
-        hd_power + m * beta_rb * y * y + 2.0 * math.sqrt(beta_rb) * y * proj_mag)
-
-
-def snr_norm_form(
-    h_d: np.ndarray, y: float, a_b: np.ndarray, cfg: SystemConfig,
-) -> float:
-    """Same SNR as the squared norm of the aligned effective channel.
-
-    Algebraically identical to :func:`optimal_snr_sample`; kept separate as
-    a per-sample cross-check of the expansion.
-    """
-    beta_rb = derive_gains(cfg).beta_rb
-    proj = complex(np.vdot(a_b, h_d))
-    omega = proj / abs(proj) if abs(proj) > 0.0 else 1.0 + 0.0j
-    h = h_d + math.sqrt(beta_rb) * a_b * (y * omega)
-    return cfg.transmit_snr * float(np.real(np.vdot(h, h)))
+        hd_power + a_b.size * beta_rb * y * y + 2.0 * math.sqrt(beta_rb) * y * proj_mag)
 
 
 def snr_under_profile(
@@ -566,8 +549,7 @@ def run_replicates(
 
     padded = -(-n // _BLOCK) * _BLOCK
     y = np.empty(padded)
-    hd_power = np.empty(padded)
-    proj_mag = np.empty(padded)
+    snr = np.empty(padded)
     for start in range(0, padded, _BLOCK):
         # rows: field coefficients, then direct-channel ones; columns: the
         # real parts of the block's replicates, then their imaginary parts
@@ -576,15 +558,8 @@ def run_replicates(
         rows = slice(start, start + _BLOCK)
         y[rows] = y_scale * sampler.abs_sums(z[:rank_f])
         h = direct_factor @ z[rank_f:]
-        h_d = h[:, :_BLOCK] + 1j * h[:, _BLOCK:]
-        hd_power[rows] = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
-        proj_mag[rows] = np.abs(a_b.conj() @ h_d)
-
-    y, hd_power, proj_mag = y[:n], hd_power[:n], proj_mag[:n]
-    snr = cfg.transmit_snr * (
-        hd_power + cfg.array.m * gains.beta_rb * y * y
-        + 2.0 * math.sqrt(gains.beta_rb) * y * proj_mag)
-    return ReplicateBatch(n=n, snr_samples=snr, y_samples=y, seed=seed)
+        snr[rows] = optimal_snr_sample(h[:, :_BLOCK] + 1j * h[:, _BLOCK:], y[rows], a_b, cfg)
+    return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
 
 
 class EmpiricalCdf:
@@ -607,7 +582,3 @@ class EmpiricalCdf:
         steps = np.arange(1, self.n + 1) / self.n
         return float(max(np.max(steps - ref), np.max(ref - (steps - 1.0 / self.n))))
 
-
-def empirical_cdf(batch: ReplicateBatch) -> EmpiricalCdf:
-    """Empirical CDF of the batch SNR samples."""
-    return EmpiricalCdf(batch.snr_samples)

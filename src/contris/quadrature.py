@@ -13,6 +13,8 @@ Integrals with interior derivative kinks should be fed through
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +29,10 @@ __all__ = [
 ]
 
 
+# segments the adaptive rule may split an interval into before it gives up
+_MAX_SEGMENTS = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances for the 1-D adaptive rule and node count for the 4-D rule."""
@@ -36,10 +42,12 @@ class QuadratureSpec:
     nodes_4d: int = 32
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.nodes_4d < 8:
-            raise DomainError("nodes_4d must be >= 8")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError("rel_tol must lie in (0, 1); 1 or more bounds nothing")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be positive and finite")
+        if not (isinstance(self.nodes_4d, numbers.Integral) and self.nodes_4d >= 8):
+            raise DomainError("nodes_4d must be an integer >= 8")
 
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1] (QUADPACK constants).
@@ -95,18 +103,12 @@ def adaptive_gauss_kronrod(
     lo: float,
     hi: float,
     spec: QuadratureSpec = QuadratureSpec(),
-    max_segments: int = 4096,
 ) -> tuple[float, float]:
     """Integrate a vectorized integrand over [lo, hi].
 
     Returns ``(value, error_estimate)``.  Raises :class:`QuadratureFailure`
-    when the tolerance cannot be met within ``max_segments`` bisections, or
-    when the requested relative tolerance is not a meaningful fraction
-    (rel_tol >= 1 cannot bound anything).
+    when the tolerance cannot be met within ``_MAX_SEGMENTS`` segments.
     """
-    if not spec.rel_tol < 1.0:
-        raise QuadratureFailure(
-            f"rel_tol={spec.rel_tol} is not a usable relative tolerance")
     if hi <= lo:
         return 0.0, 0.0
 
@@ -120,9 +122,9 @@ def adaptive_gauss_kronrod(
         total_err = err.sum()
         if total_err <= target:
             return float(total), float(total_err)
-        if seg_lo.size >= max_segments:
+        if seg_lo.size >= _MAX_SEGMENTS:
             raise QuadratureFailure(
-                f"tolerance {target:.3e} unreachable within {max_segments} "
+                f"tolerance {target:.3e} unreachable within {_MAX_SEGMENTS} "
                 f"segments (error estimate {total_err:.3e})",
                 estimate=float(total), error=float(total_err))
 
@@ -147,7 +149,6 @@ def integrate_piecewise(
     f: Callable[[np.ndarray], np.ndarray],
     breakpoints: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
-    max_segments: int = 4096,
 ) -> float:
     """Integrate over consecutive [b_i, b_i+1] pieces and sum the results.
 
@@ -157,6 +158,6 @@ def integrate_piecewise(
     total = 0.0
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         if b > a:
-            value, _ = adaptive_gauss_kronrod(f, a, b, spec, max_segments)
+            value, _ = adaptive_gauss_kronrod(f, a, b, spec)
             total += value
     return total

@@ -97,6 +97,8 @@ class IsotropicCorrelation:
     wavelength_m: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, CorrelationKind):
+            raise DomainError(f"kind must be a CorrelationKind, got {self.kind!r}")
         if not 0.0 <= self.kappa < math.inf:
             raise DomainError("kappa must be finite and >= 0")
         if not 0.0 < self.wavelength_m < math.inf:
@@ -166,7 +168,11 @@ class BsArrayConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Complete single-terminal system description."""
+    """Complete single-terminal system description.
+
+    The surface and the array see one carrier, so both correlation models
+    carry the same wavelength.
+    """
 
     geometry: SurfaceGeometry
     correlation: IsotropicCorrelation
@@ -178,6 +184,8 @@ class SystemConfig:
     def __post_init__(self):
         if not 0.0 < self.transmit_snr < math.inf:
             raise DomainError("transmit_snr must be positive and finite")
+        if self.correlation.wavelength_m != self.bs_correlation.wavelength_m:
+            raise DomainError("the surface and array correlations must share one wavelength")
 
 
 @dataclass(frozen=True)

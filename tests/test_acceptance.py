@@ -28,16 +28,15 @@ from contris.analytic import (
 )
 from contris.cli import SETUPS, default_system
 from contris.mcsim import (
+    EmpiricalCdf,
     build_surface_covariance,
     compute_Y,
-    empirical_cdf,
     make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
     random_stream,
     sample_direct_channel,
     sample_field,
-    snr_norm_form,
     snr_under_profile,
     suggest_grid,
 )
@@ -192,7 +191,7 @@ def test_criterion_6_outage_approximation(batches):
                 batch = batches(system, grid.nx, grid.ny, n)
                 mu1, mu2 = dataclasses.astuple(snr_moments(system))
                 fit = gamma_fit(mu1, mu2)
-                ks = empirical_cdf(batch).ks_distance(
+                ks = EmpiricalCdf(batch.snr_samples).ks_distance(
                     lambda xs: outage_probability(fit, xs))
                 if ks > worst_ks:
                     worst_ks, worst_case = ks, f"A={area} {aspect}:1 {kind.value}"
@@ -261,7 +260,8 @@ def test_criterion_8_per_sample_identity_and_dominance():
         h_d = sample_direct_channel(r_d, gains.beta_d, rng)
         y = compute_Y(field, grid)
         expanded = optimal_snr_sample(h_d, y, a_b, system)
-        norm = snr_norm_form(h_d, y, a_b, system)
+        phases = optimal_phase_profile(field, h_d, a_b).phases
+        norm = snr_under_profile(field, h_d, a_b, phases, system, grid)
         worst_rel = max(worst_rel, abs(expanded - norm) / norm)
     identity_ok = worst_rel <= 1e-10
 

@@ -377,3 +377,24 @@ class TestBoundAndHardening:
         cv2 = cv_squared(mu1, mu2)
         assert det == pytest.approx(
             cv2 * mu1 ** 2 / (2.0 * math.log(2.0) * (1.0 + mu1) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GammaFit(math.inf, 1.0),
+    lambda: SnrMoments(math.inf, math.inf),
+    lambda: SnrMoments(2.0, math.nan),
+    lambda: moment_m1(SurfaceGeometry(1.0, 1.0), math.inf),
+    lambda: moment_m2_iso(SurfaceGeometry(1.0, 1.0), jakes(), math.inf),
+    lambda: moment_m2_quad4(SurfaceGeometry(1.0, 1.0), jakes(), math.inf),
+    lambda: se_bound(math.nan),
+    lambda: se_bound(math.inf),
+    lambda: cv_squared(1.0, math.nan),
+    lambda: dominant_error_term(math.nan, 1.0),
+    lambda: dominant_error_term(1.0, math.nan),
+    lambda: dominant_error_term(1.0, math.inf),
+], ids=["gamma_alpha_inf", "snr_moments_inf", "snr_mu2_nan", "m1_beta_inf",
+        "m2_iso_beta_inf", "m2_quad4_beta_inf", "se_bound_nan", "se_bound_inf",
+        "cv2_mu2_nan", "det_mu1_nan", "det_mu2_nan", "det_mu2_inf"])
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(DomainError):
+        call()

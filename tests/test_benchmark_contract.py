@@ -53,6 +53,38 @@ def test_benchmark_attributes_resolve(module, name):
     assert hasattr(importlib.import_module(f"contris.{module}"), name)
 
 
+def benchmark_calls():
+    """Every call of a ``<contris module>.<name>[.<name>...]`` written in a
+    perfbench file, as a pytest param of (module, attribute path, call)."""
+    out = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            names, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                names.insert(0, func.attr)
+                func = func.value
+            if names and isinstance(func, ast.Name) and func.id in MODULES:
+                label = f"{path.name}:{node.lineno}:{func.id}.{'.'.join(names)}"
+                out.append(pytest.param(func.id, names, node, id=label))
+    return out
+
+
+@pytest.mark.parametrize("module,names,call", benchmark_calls())
+def test_benchmark_calls_bind_to_signatures(module, names, call):
+    # a parameter the benchmark passes must still exist where it passes it
+    obj = importlib.import_module(f"contris.{module}")
+    for name in names:
+        obj = getattr(obj, name)
+    signature = inspect.signature(obj)
+    args = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+    kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+    # a starred argument hides its count, so only what is written is bound
+    exact = len(args) == len(call.args) and len(kwargs) == len(call.keywords)
+    (signature.bind if exact else signature.bind_partial)(*args, **kwargs)
+
+
 def test_cli_binds_the_traced_sampling_functions():
     # the traced run wraps each module's own binding of a traced function
     assert cli.sample_field is mcsim.sample_field

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,9 @@ from contris.cli import (
     run_scenario,
     validate,
 )
-from contris.errors import ConfigError
-from contris.quadrature import QuadratureSpec
+from contris.analytic import gamma_fit, outage_probability, snr_moments
+from contris.errors import ConfigError, QuadratureFailure
+from contris.mcsim import EmpiricalCdf, make_grid, run_replicates
 from contris.sysmodel import CorrelationKind, LinkBudget
 
 
@@ -241,6 +243,29 @@ class TestScenarios:
             assert 0.0 <= row[4] <= 1.0
             assert 0.0 <= row[5] <= 1.0
 
+    def test_fig4_rows_equal_scalar_calls(self):
+        thresholds = tuple(20.0 + 2.5 * i for i in range(9))
+        cfg = tiny_config(replicates=400, sweep=SweepSpec(
+            areas_m2=(0.1,), aspects=(1.0, 20.0), thresholds_db=thresholds))
+        table = run_scenario("fig4", cfg)
+        expected = []
+        points = itertools.product((1.0, 20.0), (CorrelationKind.SINC, CorrelationKind.JAKES))
+        for index, (aspect, model) in enumerate(points):
+            system = cli._point(cfg.system, area=0.1, aspect=aspect, model=model)
+            snr = snr_moments(system)
+            fit = gamma_fit(snr.mu1, snr.mu2)
+            batch = run_replicates(system, make_grid(system.geometry, 8, 8), 400,
+                                   cli._point_seed(cfg.seed, 4, index))
+            ecdf = EmpiricalCdf(batch.snr_samples)
+            for t_db in thresholds:
+                x = 10.0 ** (t_db / 10.0)
+                expected.append((0.1, aspect, model.value, t_db,
+                                 outage_probability(fit, x), ecdf(x)))
+        assert table.rows == tuple(expected)
+        assert len({row[5] for row in table.rows}) > 2  # the ECDF is not flat here
+        # a leaked numpy scalar would print as np.float64(...) in the CSV
+        assert all(type(cell) is float for row in table.rows for cell in row[3:])
+
     def test_fig5_structure(self):
         cfg = tiny_config(replicates=400, sweep=SweepSpec(
             setups=("A", "B"), areas_m2=(0.1,), kappas=(1.0,)))
@@ -266,9 +291,12 @@ class TestValidate:
                 "mean_y_exactness_z", "jensen_dominance_slack",
                 "gamma_fit_round_trip_rel", "snr_expansion_identity_rel"} <= names
 
-    def test_corrupted_tolerance_surfaces_quadrature_failure(self):
-        report = validate(tiny_config(replicates=400),
-                          quad=QuadratureSpec(rel_tol=10.0))
+    def test_corrupted_tolerance_surfaces_quadrature_failure(self, monkeypatch):
+        def unreachable(*args):
+            raise QuadratureFailure("tolerance unreachable")
+
+        monkeypatch.setattr(cli, "moment_m2_iso", unreachable)
+        report = validate(tiny_config(replicates=400))
         failed = {c.name: c for c in report.checks if not c.passed}
         assert "m2_iso_vs_quad4_rel" in failed
         assert "QuadratureFailure" in failed["m2_iso_vs_quad4_rel"].note

@@ -13,7 +13,6 @@ from contris.mcsim import (
     PhaseProfile,
     build_surface_covariance,
     compute_Y,
-    empirical_cdf,
     grid_points,
     make_grid,
     optimal_phase_profile,
@@ -22,7 +21,6 @@ from contris.mcsim import (
     run_replicates,
     sample_direct_channel,
     sample_field,
-    snr_norm_form,
     snr_under_profile,
     suggest_grid,
     surface_blocks,
@@ -304,12 +302,27 @@ class TestSnrSample:
         assert optimal_snr_sample(h_d, y, a_b, paper_system) == pytest.approx(expect)
 
     def test_expansion_equals_norm_form(self, paper_system, rng):
+        # the norm form is the SNR under the optimal profile of some field
         a_b = steering_vector(paper_system.array)
+        grid = make_grid(paper_system.geometry, 4, 4)
         for _ in range(50):
             h_d = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 1e-6
-            y = float(rng.uniform(0.0, 1e-3))
+            field = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 1e-3
+            y = compute_Y(field, grid)
             expanded = optimal_snr_sample(h_d, y, a_b, paper_system)
-            assert abs(expanded - snr_norm_form(h_d, y, a_b, paper_system)) <= 1e-10 * expanded
+            phases = optimal_phase_profile(field, h_d, a_b).phases
+            norm = snr_under_profile(field, h_d, a_b, phases, paper_system, grid)
+            assert abs(expanded - norm) <= 1e-10 * expanded
+
+    def test_block_matches_single_draws(self, paper_system, rng):
+        a_b = steering_vector(paper_system.array)
+        h_d = (rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))) * 1e-6
+        y = rng.uniform(0.0, 1e-3, 5)
+        block = optimal_snr_sample(h_d, y, a_b, paper_system)
+        assert block.shape == (5,)
+        for j in range(5):
+            assert block[j] == pytest.approx(
+                optimal_snr_sample(h_d[:, j], y[j], a_b, paper_system), rel=1e-14)
 
 
 class TestRunReplicates:
@@ -478,7 +491,14 @@ class TestEmpiricalCdf:
         dist = cdf.ks_distance(lambda x: np.clip(x, 0.0, 1.0))
         assert dist == pytest.approx(1.0 / (n + 1.0), abs=1e-12)
 
-    def test_batch_wrapper(self, paper_system, batches):
-        batch = batches(paper_system, 8, 8, 4000)
-        cdf = empirical_cdf(batch)
-        assert cdf(float(batch.snr_samples.max())) == 1.0
+
+@pytest.mark.parametrize("call", [
+    lambda system: build_surface_covariance(
+        small_geom(), make_grid(small_geom(), 4, 4), jakes(), math.inf),
+    lambda system: optimal_snr_sample(
+        np.zeros((32, 2), dtype=complex), np.array([1e-4, -1e-4]),
+        steering_vector(system.array), system),
+], ids=["beta_ur_inf", "block_with_negative_y"])
+def test_out_of_domain_inputs_rejected(paper_system, call):
+    with pytest.raises(DomainError):
+        call(paper_system)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contris import quadrature
 from contris.errors import DomainError, QuadratureFailure
 from contris.quadrature import (
     QuadratureSpec,
@@ -30,15 +31,16 @@ class TestAdaptiveGaussKronrod:
         assert adaptive_gauss_kronrod(np.sin, 1.0, 1.0) == (0.0, 0.0)
 
     def test_nonsense_rel_tol_rejected(self):
-        with pytest.raises(QuadratureFailure):
-            adaptive_gauss_kronrod(np.sin, 0.0, 1.0, QuadratureSpec(rel_tol=10.0))
+        # rel_tol >= 1 bounds nothing; the spec refuses it before any rule runs
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=10.0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SEGMENTS", 8)
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
         with pytest.raises(QuadratureFailure) as info:
             adaptive_gauss_kronrod(
-                lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300),
-                0.0, 1.0, spec, max_segments=8)
+                lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300), 0.0, 1.0, spec)
         assert math.isfinite(info.value.estimate)
 
 
@@ -59,6 +61,8 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"abs_tol": -1.0}, {"nodes_4d": 4},
+        {"rel_tol": 1.0}, {"rel_tol": math.inf}, {"abs_tol": math.inf},
+        {"nodes_4d": 32.5}, {"nodes_4d": math.nan}, {"nodes_4d": 32.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):

@@ -246,3 +246,15 @@ class TestDeriveGains:
         assert gains.beta_d == pytest.approx(link.c0)
         assert gains.beta_rb == pytest.approx(link.c0)
         assert gains.beta_ur == pytest.approx(link.c0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IsotropicCorrelation("sinc", 1.0, WAVELENGTH),
+    lambda: IsotropicCorrelation("bogus", 1.0, WAVELENGTH),
+    lambda: dataclasses.replace(
+        default_system(),
+        bs_correlation=IsotropicCorrelation(CorrelationKind.JAKES, 1.0, 2.0 * WAVELENGTH)),
+], ids=["string_sinc", "string_bogus", "wavelength_mismatch"])
+def test_invalid_models_rejected(build):
+    with pytest.raises(DomainError):
+        build()
