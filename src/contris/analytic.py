@@ -60,6 +60,21 @@ __all__ = [
 ]
 
 
+def _variance(first: float, second: float) -> float:
+    """second - first^2 of a pair of first and second moments.
+
+    The one rule for a valid pair, which every function and dataclass here
+    that takes one applies: the first moment positive and finite, the second
+    finite and at least first^2.  A zero variance is valid.
+    """
+    if not (0.0 < first < math.inf and math.isfinite(second)):
+        raise DomainError("need a positive, finite first moment and a finite second")
+    variance = second - first ** 2
+    if variance < 0.0:
+        raise DomainError(f"the moment pair implies a negative variance, {variance:.3e}")
+    return variance
+
+
 @dataclass(frozen=True)
 class YMoments:
     """First four moments of the aggregate surface amplitude."""
@@ -70,11 +85,7 @@ class YMoments:
     m4: float
 
     def __post_init__(self):
-        if not self.m1 > 0.0:
-            raise DomainError("m1 must be positive")
-        if self.m2 < self.m1 ** 2 * (1.0 - 1e-12):
-            raise DomainError("m2 implies negative variance")
-        m3, m4 = moments_m3_m4(self.m1, max(self.m2, self.m1 ** 2))
+        m3, m4 = moments_m3_m4(self.m1, self.m2)
         if not (math.isclose(self.m3, m3, rel_tol=1e-6)
                 and math.isclose(self.m4, m4, rel_tol=1e-6)):
             raise DomainError("m3/m4 inconsistent with the gamma recursion")
@@ -93,10 +104,7 @@ class SnrMoments:
     mu2: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu1 < math.inf:
-            raise DomainError("mu1 must be positive and finite")
-        if not self.mu1 ** 2 * (1.0 - 1e-12) <= self.mu2 < math.inf:
-            raise DomainError("mu2 must be finite and imply a nonnegative variance")
+        _variance(self.mu1, self.mu2)
 
 
 @dataclass(frozen=True)
@@ -266,10 +274,7 @@ def moment_m2_quad4(
 
 def moments_m3_m4(m1: float, m2: float) -> tuple[float, float]:
     """Third and fourth moments of Y under the gamma-shape recursion."""
-    if not m1 > 0.0:
-        raise DomainError("m1 must be positive")
-    if m2 < m1 ** 2:
-        raise DomainError("m2 < m1^2 implies negative variance")
+    _variance(m1, m2)
     m3 = (2.0 * m2 - m1 ** 2) * m2 / m1
     m4 = (3.0 * m2 - 2.0 * m1 ** 2) * (2.0 * m2 - m1 ** 2) * m2 / m1 ** 2
     return m3, m4
@@ -379,9 +384,7 @@ def se_bound(mu1: float) -> float:
 
 def dominant_error_term(mu1: float, mu2: float) -> float:
     """Leading Taylor correction omitted by the spectral-efficiency bound."""
-    if not (0.0 <= mu1 and mu1 ** 2 <= mu2 < math.inf):
-        raise DomainError("need mu1 >= 0 and mu1^2 <= mu2 < inf")
-    return (mu2 - mu1 ** 2) / (2.0 * math.log(2.0) * (1.0 + mu1) ** 2)
+    return _variance(mu1, mu2) / (2.0 * math.log(2.0) * (1.0 + mu1) ** 2)
 
 
 def cv_squared(mu1: float, mu2: float) -> float:
@@ -390,6 +393,4 @@ def cv_squared(mu1: float, mu2: float) -> float:
     Invariant under the scaling (mu1, mu2) -> (c mu1, c^2 mu2), so it does
     not depend on the transmit SNR.
     """
-    if not (0.0 < mu1 < math.inf and math.isfinite(mu2)):
-        raise DomainError("mu1 must be positive and finite, mu2 finite")
-    return (mu2 - mu1 ** 2) / mu1 ** 2
+    return _variance(mu1, mu2) / mu1 ** 2

@@ -11,11 +11,14 @@ blocks, which are built and factorized separately.  The replicate loop
 sums Y from the four blocks' parts of the field over a few mirror rows at
 a time and never builds the field on the whole grid.
 
-Determinism contract: replicates are drawn in fixed blocks of 256, and
-block b draws from its own stream seeded by (master seed, b), so results
-are a pure function of (seed, config, grid, n) and the first k samples of
-a longer run equal a shorter run's.  Reruns are bit-identical at a fixed
-BLAS thread count; another thread count moves the samples by roundoff.
+Every sample is drawn by :func:`draw_block`, one fixed block of 256
+replicates at a time, and every per-draw function takes column blocks.
+
+Determinism contract: block b draws from its own stream seeded by
+(master seed, b), so results are a pure function of (seed, config, grid,
+n) and the first k samples of a longer run equal a shorter run's.  Reruns
+are bit-identical at a fixed BLAS thread count; another thread count moves
+the samples by roundoff.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .sysmodel import (
 __all__ = [
     "GridSpec",
     "FieldSampler",
-    "PhaseProfile",
     "ReplicateBatch",
     "BatchSummary",
     "EmpiricalCdf",
@@ -52,6 +54,8 @@ __all__ = [
     "sample_field",
     "compute_Y",
     "sample_direct_channel",
+    "direct_factor",
+    "draw_block",
     "optimal_phase_profile",
     "optimal_snr_sample",
     "snr_under_profile",
@@ -221,9 +225,9 @@ class FieldSampler:
         return _unfold(*self._parts(coeffs), field).reshape(self.grid.n_points, -1)
 
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sum over the grid of |field|, (k / 2,), for the complex fields
-        whose real coefficients are the first k / 2 columns of ``coeffs``
-        and whose imaginary ones are the last k / 2.
+        """Y = cell_area * sum over the grid of |field|, (k / 2,), for the
+        complex fields of :func:`draw_block`'s coefficient columns (rank,
+        k): real parts first, imaginary ones last, scaled by sqrt(1/2).
 
         The field is unfolded a few lower-half x rows and their mirror rows
         at a time, about _CHUNK values whatever the number of columns, and
@@ -243,7 +247,7 @@ class FieldSampler:
             field *= field
             power = np.add(field[:, :half], field[:, half:], out=magnitude[:field.shape[0]])
             total += np.sqrt(power, out=power).sum(axis=0)
-        return total
+        return (self.grid.cell_area * _SQRT_HALF) * total
 
 
 def _unfold(ee, eo, oe, oo, out):
@@ -349,68 +353,82 @@ def build_surface_covariance(
     return FieldSampler(blocks=tuple(factors), grid=grid, clipped_mass=clipped_mass)
 
 
-def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Circular complex Gaussian, unit variance (1/2 per component)."""
-    pair = rng.standard_normal((size, 2))
-    return (pair[:, 0] + 1j * pair[:, 1]) * _SQRT_HALF
+def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
+    """Real factor D with D D^T = beta_d R_d / 2, the covariance of each
+    component of the direct channel CN(0, beta_d R_d): the map from
+    :func:`draw_block`'s unit normals to either component."""
+    return math.sqrt(0.5 * beta_d) * _unit_factor(r_d)
 
 
-def sample_field(sampler: FieldSampler, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the surface field on the grid; marginals CN(0, beta_ur)."""
-    re, im = sampler.apply(_SQRT_HALF * rng.standard_normal((sampler.rank, 2))).T
+def sample_field(sampler: FieldSampler, coeffs: np.ndarray) -> np.ndarray:
+    """Complex fields on the grid, (n_points, k), for :func:`draw_block`'s
+    coefficient columns (rank, 2k); marginals CN(0, beta_ur)."""
+    re, im = np.split(sampler.apply(_SQRT_HALF * coeffs), 2, axis=1)
     return re + 1j * im
 
 
-def compute_Y(field: np.ndarray, grid: GridSpec) -> float:
-    """Riemann sum of the field magnitude over the surface."""
-    if field.size != grid.n_points:
-        raise DomainError("field size does not match the grid")
-    return float(grid.cell_area * np.abs(field).sum())
+def compute_Y(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Riemann sums of the field magnitudes over the surface, (k,) for
+    fields (n_points, k)."""
+    if np.ndim(fields) != 2 or fields.shape[0] != grid.n_points:
+        raise DomainError("fields must have one row per grid point")
+    return grid.cell_area * np.abs(fields).sum(axis=0)
 
 
-def sample_direct_channel(
-    r_d: np.ndarray, beta_d: float, rng: np.random.Generator,
-) -> np.ndarray:
-    """One draw of the direct channel, CN(0, beta_d * R_d).
+def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Direct channels, (M, k), from normal columns (rank, 2k) through a
+    :func:`direct_factor`: channel j takes its real part from column j and
+    its imaginary part from column k + j."""
+    h = factor @ normals
+    k = normals.shape[1] // 2
+    return h[:, :k] + 1j * h[:, k:]
 
-    Convenience wrapper that factorizes on each call; the replicate loop
-    factorizes once instead.
+
+def random_stream(seed: int, index: int) -> np.random.Generator:
+    """Random stream of replicate block ``index`` of the batch with master
+    ``seed``, a pure function of both; :func:`draw_block` draws from it."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+# Replicates are drawn and scored in fixed blocks, each drawn in full, also
+# past n, and run through identically shaped BLAS calls, so a replicate's
+# value depends only on its index: reruns agree bit for bit and prefixes
+# agree across n.
+_BLOCK = 256
+
+
+def draw_block(
+    sampler: FieldSampler, direct: np.ndarray, seed: int, index: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replicate block ``index`` of the batch with master ``seed``: its
+    field coefficients, (rank, 512), and its direct channels, (M, 256).
+
+    The block's normals are one draw from ``random_stream(seed, index)``.
+    Rows are the field coefficients, then the direct ones; columns are the
+    real parts of the block's 256 replicates, then their imaginary parts.
+    The normals have unit variance and a unit complex draw 1/2 per
+    component, so the maps from them scale by sqrt(1/2):
+    :meth:`FieldSampler.abs_sums` gives the block's Y, :func:`sample_field`
+    its fields, and ``direct`` is a :func:`direct_factor`.
     """
-    factor = _unit_factor(np.asarray(r_d, dtype=float))
-    return math.sqrt(beta_d) * (factor @ _complex_normal(rng, factor.shape[1]))
-
-
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Surface reflection phases under the SNR-optimal design."""
-
-    omega: complex
-    phases: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if abs(abs(self.omega) - 1.0) > 1e-9:
-            raise DomainError("omega must have unit modulus")
-        if np.max(np.abs(np.abs(self.phases) - 1.0)) > 1e-9:
-            raise DomainError("profile entries must have unit modulus")
+    z = random_stream(seed, index).standard_normal(
+        (sampler.rank + direct.shape[1], 2 * _BLOCK))
+    return z[:sampler.rank], sample_direct_channel(direct, z[sampler.rank:])
 
 
 def optimal_phase_profile(
-    field: np.ndarray, h_d: np.ndarray, a_b: np.ndarray,
-) -> PhaseProfile:
-    """SNR-maximizing profile: cancel the field phase, align with the
-    direct channel's projection on the steering vector.
+    fields: np.ndarray, h_d: np.ndarray, a_b: np.ndarray,
+) -> np.ndarray:
+    """SNR-maximizing unit-modulus phases, (n_points, k), for fields
+    (n_points, k) and direct channels (M, k): cancel each field's phase and
+    align with its direct channel's projection on the steering vector.
 
-    The projection being exactly zero is a probability-zero event; the
-    profile then falls back to omega = 1 and is flagged degenerate.
+    An exactly zero projection, a probability-zero event, aligns with 1.
     """
-    proj = complex(np.vdot(a_b, h_d))
-    if abs(proj) == 0.0:
-        omega, degenerate = 1.0 + 0.0j, True
-    else:
-        omega, degenerate = proj / abs(proj), False
-    phases = omega * np.exp(-1j * np.angle(field))
-    return PhaseProfile(omega=omega, phases=phases, degenerate=degenerate)
+    proj = a_b.conj() @ h_d
+    magnitude = np.abs(proj)
+    omega = np.divide(proj, magnitude, out=np.ones_like(proj), where=magnitude > 0.0)
+    return omega * np.exp(-1j * np.angle(fields))
 
 
 def optimal_snr_sample(h_d: np.ndarray, y, a_b: np.ndarray, cfg: SystemConfig):
@@ -432,18 +450,20 @@ def optimal_snr_sample(h_d: np.ndarray, y, a_b: np.ndarray, cfg: SystemConfig):
 
 
 def snr_under_profile(
-    field: np.ndarray,
+    fields: np.ndarray,
     h_d: np.ndarray,
     a_b: np.ndarray,
     phases: np.ndarray,
     cfg: SystemConfig,
     grid: GridSpec,
-) -> float:
-    """SNR achieved by an arbitrary unit-modulus reflection profile."""
+) -> np.ndarray:
+    """SNR under unit-modulus reflection phases, (k,), for the columns of
+    fields (n_points, k), direct channels (M, k) and phases (n_points, k);
+    a single column of fields and channels broadcasts against k phases."""
     beta_rb = derive_gains(cfg).beta_rb
-    reflected = grid.cell_area * np.sum(phases * field)
-    h = h_d + math.sqrt(beta_rb) * a_b * reflected
-    return cfg.transmit_snr * float(np.real(np.vdot(h, h)))
+    reflected = grid.cell_area * (phases * fields).sum(axis=0)
+    h = h_d + math.sqrt(beta_rb) * np.outer(a_b, reflected)
+    return cfg.transmit_snr * (h.real ** 2 + h.imag ** 2).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -498,37 +518,20 @@ class ReplicateBatch:
         )
 
 
-def random_stream(seed: int, index: int) -> np.random.Generator:
-    """Random stream keyed by (seed, index), a pure function of both.
-
-    :func:`run_replicates` draws its replicate block ``index`` from it; the
-    per-sample checks draw their sample ``index``.
-    """
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
-
-
-# Replicates are drawn and scored in fixed blocks.  Block b draws all of its
-# normals from random_stream(seed, b), also past n, and runs through
-# identically shaped BLAS calls, so a replicate's value depends only on its
-# index: reruns agree bit for bit and prefixes agree across n.
-_BLOCK = 256
-
-
 def run_replicates(
     cfg: SystemConfig, grid: GridSpec, n: int, seed: int,
 ) -> ReplicateBatch:
     """Draw n independent (field, direct channel) pairs and score them.
 
-    Replicate block b (replicates 256 b to 256 b + 255) consumes only the
-    stream ``random_stream(seed, b)``, in a fixed order, and is always
-    drawn in full.  The batch is therefore a pure function of (seed, cfg,
-    grid, n), and the first k samples of a longer run equal a shorter
-    run's.  Reruns are bit-identical at a fixed BLAS thread count; another
+    Replicate block b (replicates 256 b to 256 b + 255) is
+    ``draw_block(sampler, direct, seed, b)``, always drawn in full.  The
+    batch is therefore a pure function of (seed, cfg, grid, n), and the
+    first k samples of a longer run equal a shorter run's.  Reruns are bit-identical at a fixed BLAS thread count; another
     thread count changes the factor and the products by roundoff.
 
     Y is summed by :meth:`FieldSampler.abs_sums` from the parity parts of
     the field, in a fixed order of chunks, so it equals the Riemann sum of
-    :meth:`FieldSampler.apply`'s field to roundoff, not bit for bit.
+    :func:`sample_field`'s fields to roundoff, not bit for bit.
     """
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DomainError("n must be an integer >= 1")
@@ -539,26 +542,17 @@ def run_replicates(
 
     gains = derive_gains(cfg)
     sampler = build_surface_covariance(cfg.geometry, grid, cfg.correlation, gains.beta_ur)
-    r_d = bs_correlation_matrix(cfg.array, cfg.bs_correlation)
-    # the normals have unit variance and a complex draw 1/2 per component,
-    # so sqrt(1/2) goes into the direct factor and into Y's scale
-    direct_factor = math.sqrt(0.5 * gains.beta_d) * _unit_factor(r_d)
-    y_scale = grid.cell_area * _SQRT_HALF
+    direct = direct_factor(bs_correlation_matrix(cfg.array, cfg.bs_correlation), gains.beta_d)
     a_b = steering_vector(cfg.array)
-    rank_f = sampler.rank
 
     padded = -(-n // _BLOCK) * _BLOCK
     y = np.empty(padded)
     snr = np.empty(padded)
-    for start in range(0, padded, _BLOCK):
-        # rows: field coefficients, then direct-channel ones; columns: the
-        # real parts of the block's replicates, then their imaginary parts
-        z = random_stream(seed, start // _BLOCK).standard_normal(
-            (rank_f + direct_factor.shape[1], 2 * _BLOCK))
+    for index, start in enumerate(range(0, padded, _BLOCK)):
+        coeffs, h_d = draw_block(sampler, direct, seed, index)
         rows = slice(start, start + _BLOCK)
-        y[rows] = y_scale * sampler.abs_sums(z[:rank_f])
-        h = direct_factor @ z[rank_f:]
-        snr[rows] = optimal_snr_sample(h[:, :_BLOCK] + 1j * h[:, _BLOCK:], y[rows], a_b, cfg)
+        y[rows] = sampler.abs_sums(coeffs)
+        snr[rows] = optimal_snr_sample(h_d, y[rows], a_b, cfg)
     return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
 
 

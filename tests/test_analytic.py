@@ -398,3 +398,24 @@ class TestBoundAndHardening:
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+# every taker of a (first, second) moment pair applies one rule: second >= first^2
+MOMENT_PAIR_TAKERS = {
+    "YMoments": lambda m1, m2: YMoments(m1, m2, 1.0, 1.0),
+    "YMoments.from_first_two": YMoments.from_first_two,
+    "SnrMoments": SnrMoments,
+    "moments_m3_m4": moments_m3_m4,
+    "cv_squared": cv_squared,
+    "dominant_error_term": dominant_error_term,
+}
+
+
+@pytest.mark.parametrize("name", MOMENT_PAIR_TAKERS)
+def test_one_rule_for_a_moment_pair(name):
+    take = MOMENT_PAIR_TAKERS[name]
+    with pytest.raises(DomainError):
+        take(1.0, 1.0 - 1e-13)
+    take(1.0, 1.0)  # zero variance is a valid pair
+    with pytest.raises(DomainError):
+        take(0.0, 1.0)

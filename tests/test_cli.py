@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contris import cli
+from contris import cli, mcsim
 from contris.cli import (
     ExperimentConfig,
     ResultTable,
@@ -290,6 +290,28 @@ class TestValidate:
         assert {"m2_iso_vs_quad4_rel", "distance_pdf_normalization",
                 "mean_y_exactness_z", "jensen_dominance_slack",
                 "gamma_fit_round_trip_rel", "snr_expansion_identity_rel"} <= names
+        for check in report.checks:
+            json.dumps(dataclasses.asdict(check))
+
+    def test_identity_check_reads_the_replicate_loop(self, monkeypatch):
+        # the check compares the batch's own SNR samples with the norm form,
+        # so a 1e-8 error in the loop's scoring must fail it
+        score = mcsim.optimal_snr_sample
+        monkeypatch.setattr(mcsim, "optimal_snr_sample",
+                            lambda *args: score(*args) * (1.0 + 1e-8))
+        checks = {c.name: c for c in validate(tiny_config(replicates=400)).checks}
+        identity = checks["snr_expansion_identity_rel"]
+        assert not identity.passed
+        assert identity.measured == pytest.approx(1e-8, rel=1e-3)
+        assert checks["mean_y_exactness_z"].passed
+
+    def test_direct_correlation_factored_at_most_twice(self, monkeypatch):
+        calls = []
+        factor = mcsim._unit_factor
+        monkeypatch.setattr(mcsim, "_unit_factor",
+                            lambda corr: calls.append(corr) or factor(corr))
+        assert validate(tiny_config(replicates=400)).all_passed
+        assert len(calls) <= 2
 
     def test_corrupted_tolerance_surfaces_quadrature_failure(self, monkeypatch):
         def unreachable(*args):

@@ -10,14 +10,14 @@ from contris.errors import DomainError
 from contris.mcsim import (
     EmpiricalCdf,
     GridSpec,
-    PhaseProfile,
     build_surface_covariance,
     compute_Y,
+    direct_factor,
+    draw_block,
     grid_points,
     make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
-    random_stream,
     run_replicates,
     sample_direct_channel,
     sample_field,
@@ -87,6 +87,15 @@ def reflection_basis(n, sign):
 PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
+def field_draws(sampler, n, seed):
+    """The fields of the first n replicates of the batch with master seed
+    ``seed``, (n_points, n), drawn block by block."""
+    direct = direct_factor(np.eye(1), 1.0)
+    blocks = [sample_field(sampler, draw_block(sampler, direct, seed, index)[0])
+              for index in range(-(-n // 256))]
+    return np.hstack(blocks)[:, :n]
+
+
 class TestGrid:
     def test_cell_area(self):
         geom = SurfaceGeometry(2.0, 1.0)
@@ -126,8 +135,9 @@ class TestSurfaceCovariance:
         sampler = build_surface_covariance(small_geom(), make_grid(small_geom(), 4, 4),
                                            jakes(0.0), BETA_UR)
         assert sampler.rank == 1
-        field = sample_field(sampler, rng)
-        assert np.allclose(field, field[0])
+        fields = sample_field(sampler, rng.standard_normal((1, 6)))
+        assert fields.shape == (16, 3)
+        assert np.allclose(fields, fields[0])
 
     def test_marginal_variance_exact(self):
         geom = small_geom()
@@ -177,12 +187,11 @@ class TestSurfaceCovariance:
         geom = small_geom()
         sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
         n = 20000
-        rng = np.random.default_rng(5)
-        draws = np.array([sample_field(sampler, rng) for _ in range(n)])
-        power = np.abs(draws[:, 0]) ** 2
+        draws = field_draws(sampler, n, 5)
+        power = np.abs(draws[0]) ** 2
         se = power.std(ddof=1) / math.sqrt(n)
         assert abs(power.mean() - BETA_UR) < 3.0 * se
-        mean_se = np.abs(draws.mean(axis=0)).max()
+        mean_se = np.abs(draws.mean(axis=1)).max()
         assert mean_se < 3.0 * math.sqrt(BETA_UR / n) + 1e-12
 
 
@@ -190,17 +199,18 @@ class TestComputeY:
     def test_unit_field(self):
         geom = SurfaceGeometry(2.0, 1.5)
         grid = make_grid(geom, 4, 4)
-        field = np.ones(grid.n_points, dtype=complex)
-        assert compute_Y(field, grid) == pytest.approx(geom.area_m2, rel=1e-14)
+        fields = np.ones((grid.n_points, 3), dtype=complex)
+        assert compute_Y(fields, grid) == pytest.approx([geom.area_m2] * 3, rel=1e-14)
 
     def test_zero_field(self):
         grid = make_grid(SurfaceGeometry(1.0, 1.0), 4, 4)
-        assert compute_Y(np.zeros(16, dtype=complex), grid) == 0.0
+        assert np.array_equal(compute_Y(np.zeros((16, 2), dtype=complex), grid), [0.0, 0.0])
 
     def test_dimension_mismatch(self):
         grid = make_grid(SurfaceGeometry(1.0, 1.0), 4, 4)
-        with pytest.raises(DomainError):
-            compute_Y(np.zeros(15, dtype=complex), grid)
+        for shape in ((15, 1), (16,)):
+            with pytest.raises(DomainError):
+                compute_Y(np.zeros(shape, dtype=complex), grid)
 
     def test_mean_matches_closed_form_any_grid(self, paper_system, batches):
         gains = derive_gains(paper_system)
@@ -217,8 +227,9 @@ class TestDirectChannel:
         a_b = steering_vector(arr)
         beta_d = 2.5e-12
         n = 30000
-        rng = np.random.default_rng(11)
-        draws = np.array([sample_direct_channel(r_d, beta_d, rng) for _ in range(n)])
+        factor = direct_factor(r_d, beta_d)
+        normals = np.random.default_rng(11).standard_normal((factor.shape[1], 2 * n))
+        draws = sample_direct_channel(factor, normals).T
         power = (np.abs(draws) ** 2).sum(axis=1)
         se = power.std(ddof=1) / math.sqrt(n)
         assert abs(power.mean() - arr.m * beta_d) < 3.0 * se
@@ -231,59 +242,56 @@ class TestDirectChannel:
 
     def test_identity_correlation_off_diagonal(self):
         n = 20000
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_direct_channel(np.eye(3), 1.0, rng) for _ in range(n)])
+        normals = np.random.default_rng(3).standard_normal((3, 2 * n))
+        draws = sample_direct_channel(direct_factor(np.eye(3), 1.0), normals).T
         cov = draws.T.conj() @ draws / n
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 3.0 / math.sqrt(n)
 
 
 class TestPhaseProfile:
-    def _draw(self, rng):
+    def _draw(self):
+        # the 256 fields and direct channels of one replicate block
         geom = small_geom()
         grid = make_grid(geom, 6, 6)
         sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
-        field = sample_field(sampler, rng)
         arr = BsArrayConfig()
-        r_d = bs_correlation_matrix(arr, jakes())
-        h_d = sample_direct_channel(r_d, 1.4e-12, rng)
-        return geom, grid, field, h_d, steering_vector(arr)
+        direct = direct_factor(bs_correlation_matrix(arr, jakes()), 1.4e-12)
+        coeffs, h_d = draw_block(sampler, direct, 1234, 0)
+        return geom, grid, sample_field(sampler, coeffs), h_d, steering_vector(arr)
 
-    def test_unit_modulus_and_cancellation(self, rng):
-        _, _, field, h_d, a_b = self._draw(rng)
-        profile = optimal_phase_profile(field, h_d, a_b)
-        assert abs(abs(profile.omega) - 1.0) < 1e-12
-        assert np.max(np.abs(np.abs(profile.phases) - 1.0)) < 1e-12
-        aligned = profile.phases * field / np.abs(field)
-        assert np.max(np.abs(aligned - profile.omega)) < 1e-9
+    def test_unit_modulus_and_cancellation(self):
+        _, _, fields, h_d, a_b = self._draw()
+        phases = optimal_phase_profile(fields, h_d, a_b)
+        assert phases.shape == fields.shape
+        assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
+        proj = a_b.conj() @ h_d
+        aligned = phases * fields / np.abs(fields)
+        assert np.max(np.abs(aligned - proj / np.abs(proj))) < 1e-9
 
-    def test_degenerate_projection_flagged(self, rng):
-        _, _, field, _, a_b = self._draw(rng)
-        profile = optimal_phase_profile(field, np.zeros(a_b.size, dtype=complex), a_b)
-        assert profile.degenerate
-        assert profile.omega == 1.0 + 0.0j
+    def test_degenerate_projection_aligns_with_one(self):
+        _, _, fields, _, a_b = self._draw()
+        phases = optimal_phase_profile(fields, np.zeros((a_b.size, fields.shape[1])), a_b)
+        assert np.max(np.abs(phases * fields / np.abs(fields) - 1.0)) < 1e-9
 
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            PhaseProfile(omega=2.0 + 0.0j, phases=np.ones(3, dtype=complex))
-
-    def test_optimal_profile_reaches_expanded_snr(self, paper_system, rng):
-        geom, grid, field, h_d, a_b = self._draw(rng)
+    def test_optimal_profile_reaches_expanded_snr(self, paper_system):
+        geom, grid, fields, h_d, a_b = self._draw()
         system = dataclasses.replace(paper_system, geometry=geom)
-        profile = optimal_phase_profile(field, h_d, a_b)
-        y = compute_Y(field, grid)
-        via_profile = snr_under_profile(field, h_d, a_b, profile.phases, system, grid)
-        assert via_profile == pytest.approx(
-            optimal_snr_sample(h_d, y, a_b, system), rel=1e-10)
+        phases = optimal_phase_profile(fields, h_d, a_b)
+        via_profile = snr_under_profile(fields, h_d, a_b, phases, system, grid)
+        expanded = optimal_snr_sample(h_d, compute_Y(fields, grid), a_b, system)
+        assert np.max(np.abs(via_profile - expanded) / expanded) <= 1e-10
 
     def test_dominates_random_profiles(self, paper_system, rng):
-        geom, grid, field, h_d, a_b = self._draw(rng)
+        geom, grid, fields, h_d, a_b = self._draw()
         system = dataclasses.replace(paper_system, geometry=geom)
-        profile = optimal_phase_profile(field, h_d, a_b)
-        best = snr_under_profile(field, h_d, a_b, profile.phases, system, grid)
-        for _ in range(20):
-            random_phases = np.exp(2j * math.pi * rng.uniform(size=field.size))
-            assert snr_under_profile(field, h_d, a_b, random_phases, system, grid) <= best
+        best = snr_under_profile(fields, h_d, a_b, optimal_phase_profile(fields, h_d, a_b),
+                                 system, grid)
+        for j in range(8):
+            random_phases = np.exp(2j * math.pi * rng.uniform(size=(grid.n_points, 20)))
+            snr = snr_under_profile(fields[:, j:j + 1], h_d[:, j:j + 1], a_b, random_phases,
+                                    system, grid)
+            assert np.all(snr <= best[j])
 
 
 class TestSnrSample:
@@ -305,14 +313,12 @@ class TestSnrSample:
         # the norm form is the SNR under the optimal profile of some field
         a_b = steering_vector(paper_system.array)
         grid = make_grid(paper_system.geometry, 4, 4)
-        for _ in range(50):
-            h_d = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 1e-6
-            field = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 1e-3
-            y = compute_Y(field, grid)
-            expanded = optimal_snr_sample(h_d, y, a_b, paper_system)
-            phases = optimal_phase_profile(field, h_d, a_b).phases
-            norm = snr_under_profile(field, h_d, a_b, phases, paper_system, grid)
-            assert abs(expanded - norm) <= 1e-10 * expanded
+        h_d = (rng.standard_normal((32, 50)) + 1j * rng.standard_normal((32, 50))) * 1e-6
+        fields = (rng.standard_normal((16, 50)) + 1j * rng.standard_normal((16, 50))) * 1e-3
+        expanded = optimal_snr_sample(h_d, compute_Y(fields, grid), a_b, paper_system)
+        phases = optimal_phase_profile(fields, h_d, a_b)
+        norm = snr_under_profile(fields, h_d, a_b, phases, paper_system, grid)
+        assert np.all(np.abs(expanded - norm) <= 1e-10 * expanded)
 
     def test_block_matches_single_draws(self, paper_system, rng):
         a_b = steering_vector(paper_system.array)
@@ -408,15 +414,14 @@ class TestRunReplicates:
         grid = make_grid(system.geometry, nx, ny)
         n, seed = 300, 8
         y = run_replicates(system, grid, n, seed).y_samples
+        gains = derive_gains(system)
         sampler = build_surface_covariance(system.geometry, grid, system.correlation,
-                                           derive_gains(system).beta_ur)
-        expect = []
-        for block in range(2):
-            # the field's normals lead the block's draw
-            z = random_stream(seed, block).standard_normal((sampler.rank, 512))
-            re, im = np.split(sampler.apply(math.sqrt(0.5) * z), 2, axis=1)
-            expect += [compute_Y(field, grid) for field in (re + 1j * im).T]
-        expect = np.array(expect[:n])
+                                           gains.beta_ur)
+        direct = direct_factor(bs_correlation_matrix(system.array, system.bs_correlation),
+                               gains.beta_d)
+        expect = np.concatenate([
+            compute_Y(sample_field(sampler, draw_block(sampler, direct, seed, index)[0]), grid)
+            for index in range(2)])[:n]
         assert np.max(np.abs(y - expect) / expect) <= 1e-13
 
     def test_replicate_loop_never_builds_the_field(self, paper_system):
