@@ -6,8 +6,9 @@ The chain implemented here:
    magnitude over the rectangle).  The mean is closed form; the second
    moment reduces, for isotropic correlation, to a single integral of the
    hypergeometric kernel against the distance density of two uniform points
-   in a rectangle.  A brute-force 4-D tensor quadrature of the same moment
-   serves as an independent cross-check.
+   in a rectangle.  A tensor Gauss-Legendre rule over the two coordinate
+   differences serves as an independent cross-check, and the same tensor
+   sum over the cell offsets gives the exact second moment of a grid.
 2. Third and fourth moments of Y via the gamma-shape recursion driven by
    (m1, m2) only; higher-order amplitude correlations have no closed form.
 3. Mean and second moment of the post-design SNR from the Y moments and the
@@ -20,6 +21,7 @@ The chain implemented here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ __all__ = [
     "rect_distance_pdf",
     "moment_m2_iso",
     "moment_m2_quad4",
+    "moment_m2_grid",
     "moments_m3_m4",
     "mean_snr",
     "mean_snr_from_terms",
@@ -209,10 +212,10 @@ def moment_m2_iso(
     return w * w * h * h * value
 
 
-# Oscillation resolution for the brute-force tensor rule: nodes per axis are
-# raised so that one correlation period (wavelength / kappa) receives at
-# least ~5 nodes, otherwise the fixed default undersamples electrically
-# large surfaces.
+# Oscillation resolution for the oracle's tensor rule: nodes per axis are
+# raised, up to _MAX_AXIS_NODES, so that one correlation period (wavelength
+# / kappa) receives at least ~5 nodes; otherwise the fixed default
+# undersamples electrically large surfaces.
 _NODES_PER_PERIOD = 5.0
 _MAX_AXIS_NODES = 320
 
@@ -221,26 +224,13 @@ def _axis_nodes(length_m: float, model, base: int) -> int:
     if model.kappa <= 0.0:
         return base
     needed = math.ceil(_NODES_PER_PERIOD * length_m * model.kappa / model.wavelength_m)
-    return min(max(base, needed), _MAX_AXIS_NODES)
+    return max(base, min(needed, _MAX_AXIS_NODES))
 
 
-def _axis_differences(n: int, length_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct node distances |x_i - x_j| of the n-point Gauss-Legendre rule
-    on [0, length_m], each with the summed weight products w_i w_j of the
-    node pairs at that distance.
-
-    The distances are taken on the reference nodes t in [-1, 1], made
-    exactly antisymmetric, and scaled afterwards: a pair (i, j) and its
-    mirror (n-1-j, n-1-i) then give the same bits and merge, which leaves
-    floor(n^2 / 4) + 1 distances.
-    """
-    t, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (t - t[::-1])
-    w = 0.5 * (w + w[::-1])
-    diff, inv = np.unique(np.abs(t[:, None] - t[None, :]).ravel(), return_inverse=True)
-    weight = np.bincount(inv, weights=(w[:, None] * w[None, :]).ravel())
-    half = 0.5 * length_m
-    return half * diff, half * half * weight
+def _tensor_m2(model, beta_ur: float, u, wu, v, wv) -> float:
+    """sum_ij wu_i wv_j g(hypot(u_i, v_j)) over weighted per-axis differences."""
+    kernel = _hyper_kernel(model, beta_ur, np.hypot(u[:, None], v[None, :]))
+    return float(wu @ kernel @ wv)
 
 
 def moment_m2_quad4(
@@ -249,27 +239,49 @@ def moment_m2_quad4(
     beta_ur: float,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Second moment of Y by brute-force 4-D tensor Gauss-Legendre.
+    """Second moment of Y by tensor Gauss-Legendre over the coordinate
+    differences; a validation path that shares only the kernel with
+    :func:`moment_m2_iso`.
 
-    Validation path only: evaluates the full double-surface integral of the
-    hypergeometric kernel.  The tensor sum is reduced to the distinct
-    coordinate differences per axis, which keeps the kernel evaluations
-    near (n_x^2 / 4) * (n_y^2 / 4) without changing the result.
+    The difference u of two uniform points on a side L has density
+    2 (L - u) / L^2, so m2 = 4 int_0^W int_0^H (W - u)(H - v) g(hypot(u, v))
+    du dv exactly.  Each axis takes ``quad.nodes_4d`` or more (see
+    ``_axis_nodes``) Gauss-Legendre nodes u_k on [0, L] with weights
+    (L - u_k) L w_k.  The kernel's kink at zero separation lies on the
+    corner u = v = 0, where the rule has no node.
     """
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
-    w, h = geom.canonical()
-    ux, wx = _axis_differences(_axis_nodes(w, model, quad.nodes_4d), w)
-    uy, wy = _axis_differences(_axis_nodes(h, model, quad.nodes_4d), h)
 
-    # chunk over the x-differences so the kernel matrix stays bounded
-    chunk = max(1, int(4e6 // uy.size))
-    total = 0.0
-    for lo in range(0, ux.size, chunk):
-        r = np.hypot(ux[lo:lo + chunk, None], uy[None, :])
-        kernel = _hyper_kernel(model, beta_ur, r.ravel()).reshape(r.shape)
-        total += float(wx[lo:lo + chunk] @ kernel @ wy)
-    return total
+    def axis(length_m):
+        t, w = np.polynomial.legendre.leggauss(_axis_nodes(length_m, model, quad.nodes_4d))
+        u = 0.5 * length_m * (t + 1.0)
+        return u, (length_m - u) * length_m * w
+
+    return _tensor_m2(model, beta_ur, *axis(geom.width_m), *axis(geom.height_m))
+
+
+def moment_m2_grid(
+    geom: SurfaceGeometry,
+    model: IsotropicCorrelation,
+    beta_ur: float,
+    nx: int,
+    ny: int,
+) -> float:
+    """Exact second moment of the Riemann sum of Y on the nx x ny grid of
+    cell centers: cell_area^2 times the kernel summed over all cell pairs.
+    Per axis, the offset i L / n occurs in (n - i)(2 - [i = 0]) ordered
+    cell pairs."""
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
+        raise DomainError("nx and ny must be positive integers")
+
+    def axis(n, length_m):
+        i, cell = np.arange(n), length_m / n
+        return i * cell, (n - i) * np.where(i > 0, 2.0, 1.0) * cell * cell
+
+    return _tensor_m2(model, beta_ur, *axis(nx, geom.width_m), *axis(ny, geom.height_m))
 
 
 def moments_m3_m4(m1: float, m2: float) -> tuple[float, float]:

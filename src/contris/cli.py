@@ -85,8 +85,7 @@ from .analytic import (
 from .errors import ConfigError, ContrisError, DomainError
 from .mcsim import (
     EmpiricalCdf,
-    build_surface_covariance,
-    direct_factor,
+    _replicates,
     draw_block,
     make_grid,
     optimal_phase_profile,
@@ -102,7 +101,6 @@ from .sysmodel import (
     LinkBudget,
     SurfaceGeometry,
     SystemConfig,
-    bs_correlation_matrix,
     derive_gains,
     steering_vector,
 )
@@ -571,7 +569,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 
     n_small = min(cfg.replicates, 20000)
     grid = make_grid(geom, cfg.grid[0], cfg.grid[1])
-    batch = run_replicates(system, grid, n_small, _point_seed(cfg.seed, 0, 0))
+    batch, sampler, direct = _replicates(system, grid, n_small, _point_seed(cfg.seed, 0, 0))
     summary = batch.summaries()
 
     record("mean_y_exactness_z",
@@ -597,12 +595,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     record("gamma_fit_round_trip_rel", gamma_round_trip, 1e-12)
 
     def snr_identity():
-        # the batch's first block, scored by the expansion in Y, against the
-        # norm form of the same draws under their optimal phases
-        sampler = build_surface_covariance(geom, grid, system.correlation,
-                                           gains.beta_ur)
-        direct = direct_factor(
-            bs_correlation_matrix(system.array, system.bs_correlation), gains.beta_d)
+        # the batch's first block, redrawn through the batch's own factors and
+        # scored by the expansion in Y, against the norm form of the same
+        # draws under their optimal phases
         coeffs, h_d = draw_block(sampler, direct, batch.seed, 0)
         k = min(batch.n, h_d.shape[1])
         fields, h_d = sample_field(sampler, coeffs)[:, :k], h_d[:, :k]

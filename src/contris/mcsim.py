@@ -533,6 +533,14 @@ def run_replicates(
     the field, in a fixed order of chunks, so it equals the Riemann sum of
     :func:`sample_field`'s fields to roundoff, not bit for bit.
     """
+    return _replicates(cfg, grid, n, seed)[0]
+
+
+def _replicates(
+    cfg: SystemConfig, grid: GridSpec, n: int, seed: int,
+) -> tuple[ReplicateBatch, FieldSampler, np.ndarray]:
+    """:func:`run_replicates`'s batch, with the sampler and the direct
+    factor that a caller needs to redraw its blocks."""
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DomainError("n must be an integer >= 1")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
@@ -553,7 +561,7 @@ def run_replicates(
         rows = slice(start, start + _BLOCK)
         y[rows] = sampler.abs_sums(coeffs)
         snr[rows] = optimal_snr_sample(h_d, y[rows], a_b, cfg)
-    return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
+    return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed), sampler, direct
 
 
 class EmpiricalCdf:

@@ -35,7 +35,8 @@ _MAX_SEGMENTS = 4096
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the 1-D adaptive rule and node count for the 4-D rule."""
+    """Tolerances for the 1-D adaptive rule, and ``nodes_4d``, the nodes
+    per axis of the oracle's tensor rule (``analytic.moment_m2_quad4``)."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-300

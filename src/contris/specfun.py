@@ -22,7 +22,7 @@ Implementation notes
 * ``bessel_j0`` and ``gauss_2f1_half`` do a fixed amount of work per
   element and run over fixed blocks of 2^15 elements of the flattened
   input, so their temporaries stay in cache and their memory stays bounded
-  on the multi-million-element grids of the 4-D quadrature.
+  for inputs of any size.
 * ``reg_lower_gamma`` takes an array ``x`` and follows the classic series /
   continued-fraction split at x = a + 1: a series loop over the elements
   below the split and a modified Lentz loop over those above, each dropping

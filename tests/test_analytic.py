@@ -60,6 +60,8 @@ def sinc_model(kappa=1.0):
 class ZeroCorrelation:
     """Synthetic model: perfectly uncorrelated except at zero separation."""
 
+    kappa = 0.0
+
     def rho(self, r):
         arr = np.asarray(r, dtype=float)
         return np.where(arr == 0.0, 1.0, 0.0)
@@ -141,6 +143,14 @@ class TestMomentM2:
         m2 = moment_m2_iso(geom, ZeroCorrelation(), BETA_UR)
         assert m2 == pytest.approx(m1 ** 2, rel=1e-8)
 
+    def test_quad4_zero_correlation_gives_m1_squared(self):
+        # the difference nodes never reach zero separation, and the weights
+        # integrate the difference density exactly
+        geom = SurfaceGeometry(0.6, 0.3)
+        m1 = moment_m1(geom, BETA_UR)
+        m2 = moment_m2_quad4(geom, ZeroCorrelation(), BETA_UR)
+        assert m2 == pytest.approx(m1 ** 2, rel=1e-12)
+
     def test_cross_oracle_agreement(self):
         geom = SurfaceGeometry(0.6, 0.3)
         iso = moment_m2_iso(geom, jakes(1.0), BETA_UR)
@@ -184,16 +194,46 @@ class TestMomentM2:
         reduced = moment_m2_quad4(geom, model, BETA_UR, QuadratureSpec(nodes_4d=n))
         assert reduced == pytest.approx(self.tensor_sum(geom, model, n), rel=1e-13)
 
-    @pytest.mark.parametrize("n", [8, 9, 32])
-    @pytest.mark.parametrize("geom", SMALL_SURFACES, ids=["square", "20to1"])
-    def test_quad4_kernel_points(self, n, geom, monkeypatch):
-        # a node pair and its mirror share one kernel evaluation per axis
+    @staticmethod
+    def kernel_points(monkeypatch, *args):
         points = []
         rho = IsotropicCorrelation.rho
         monkeypatch.setattr(IsotropicCorrelation, "rho",
                             lambda self, r: points.append(np.size(r)) or rho(self, r))
-        moment_m2_quad4(geom, jakes(1.0), BETA_UR, QuadratureSpec(nodes_4d=n))
-        assert 0 < sum(points) <= (n * n // 4 + 1) ** 2
+        moment_m2_quad4(*args)
+        return sum(points)
+
+    @pytest.mark.parametrize("n", [8, 9, 32])
+    @pytest.mark.parametrize("geom", SMALL_SURFACES, ids=["square", "20to1"])
+    def test_quad4_kernel_points(self, n, geom, monkeypatch):
+        # one kernel evaluation per pair of x and y difference nodes
+        points = self.kernel_points(monkeypatch, geom, jakes(1.0), BETA_UR,
+                                    QuadratureSpec(nodes_4d=n))
+        assert points == n * n
+
+    def test_quad4_keeps_node_counts_above_the_cap(self, monkeypatch):
+        # the oscillation rule asks for 387 x nodes on this side; the cap
+        # bounds that raise, but not a node count the caller sets
+        geom = SurfaceGeometry(4.0, 0.05)
+        assert self.kernel_points(monkeypatch, geom, jakes(1.0), BETA_UR) == 320 * 32
+        points = self.kernel_points(monkeypatch, geom, jakes(1.0), BETA_UR,
+                                    QuadratureSpec(nodes_4d=400))
+        assert points == 400 * 400
+
+    CRITERION_1 = [(aspect, kind, kappa) for aspect in (1.0, 2.0, 20.0)
+                   for kind in (CorrelationKind.SINC, CorrelationKind.JAKES)
+                   for kappa in (0.1, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("aspect, kind, kappa", CRITERION_1,
+                             ids=[f"{a:g}to1-{k.value}-{c:g}" for a, k, c in CRITERION_1])
+    def test_quad4_converged_on_criterion_1(self, aspect, kind, kappa):
+        width = math.sqrt(0.2 * aspect)
+        geom = SurfaceGeometry(width, 0.2 / width)
+        model = IsotropicCorrelation(kind, kappa, WAVELENGTH)
+        brute = moment_m2_quad4(geom, model, BETA_UR)
+        finer = moment_m2_quad4(geom, model, BETA_UR, QuadratureSpec(nodes_4d=64))
+        assert abs(brute - moment_m2_iso(geom, model, BETA_UR)) <= 1e-6 * brute
+        assert abs(brute - finer) <= 1e-6 * brute
 
     def test_decorrelation_shrinks_m2(self):
         geom = SurfaceGeometry(math.sqrt(0.2), math.sqrt(0.2))

@@ -313,6 +313,29 @@ class TestValidate:
         assert validate(tiny_config(replicates=400)).all_passed
         assert len(calls) <= 2
 
+    def test_batch_and_identity_check_share_one_factor(self, monkeypatch):
+        # validate factors the surface once, and its batch is bit for bit
+        # the batch run_replicates draws
+        cfg = tiny_config(replicates=400)
+        builds, batches = [], []
+        build, replicates = mcsim.build_surface_covariance, cli._replicates
+
+        def recorded(*args):
+            result = replicates(*args)
+            batches.append((args, result[0]))
+            return result
+
+        monkeypatch.setattr(mcsim, "build_surface_covariance",
+                            lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(cli, "_replicates", recorded)
+        assert validate(cfg).all_passed
+        assert len(builds) == 1
+        ((system, grid, n, seed), batch), = batches
+        assert system == cfg.system and grid == make_grid(system.geometry, *cfg.grid)
+        expect = run_replicates(system, grid, n, seed)
+        assert np.array_equal(batch.y_samples, expect.y_samples)
+        assert np.array_equal(batch.snr_samples, expect.snr_samples)
+
     def test_corrupted_tolerance_surfaces_quadrature_failure(self, monkeypatch):
         def unreachable(*args):
             raise QuadratureFailure("tolerance unreachable")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contris import mcsim
-from contris.analytic import moment_m1
+from contris.analytic import moment_m1, moment_m2_grid, moment_m2_iso
 from contris.errors import DomainError
 from contris.mcsim import (
     EmpiricalCdf,
@@ -58,7 +58,7 @@ def dense_correlation(geom, grid, model):
     return corr
 
 
-def grid_variance(geom, model, beta_ur, nx, ny):
+def offset_table_m2(geom, model, beta_ur, nx, ny):
     """Exact E[Y^2] of the grid Riemann sum: cell_area^2 times the sum of
     E|h_p||h_q| = (pi beta_ur / 4) 2F1(-1/2, -1/2; 1; rho^2) over all cell
     pairs, gathered from the offset table with the multiplicity of each
@@ -128,6 +128,28 @@ class TestGrid:
         assert grid.nx / 2.0 >= 1.0 / (0.3 * WAVELENGTH)  # cells under 0.3 wavelengths
         assert grid.ny >= 8
         assert suggest_grid(geom, jakes(0.0)).nx == 8
+
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (8, 8), (43, 3), (49, 49)])
+    @pytest.mark.parametrize("model", [jakes(0.0), jakes(1.0),
+                                       IsotropicCorrelation(CorrelationKind.SINC, 0.5,
+                                                            WAVELENGTH)],
+                             ids=["jakes0", "jakes1", "sinc05"])
+    def test_grid_moment_equals_offset_table(self, nx, ny, model):
+        geom = SurfaceGeometry(0.7, 0.3)
+        m2 = moment_m2_grid(geom, model, BETA_UR, nx, ny)
+        assert m2 == pytest.approx(offset_table_m2(geom, model, BETA_UR, nx, ny), rel=1e-14)
+        if nx * ny <= 64:
+            # the same sum over every ordered pair of cells, without offsets
+            corr = dense_correlation(geom, make_grid(geom, nx, ny), model)
+            kernel = 0.25 * math.pi * BETA_UR * gauss_2f1_half(np.clip(corr * corr, 0.0, 1.0))
+            assert m2 == pytest.approx((geom.area_m2 / (nx * ny)) ** 2 * kernel.sum(),
+                                       rel=1e-13)
+
+    @pytest.mark.parametrize("nx,ny,beta_ur", [
+        (0, 3, BETA_UR), (3, 2.0, BETA_UR), (3, 3, 0.0), (3, 3, math.nan)])
+    def test_grid_moment_domain(self, nx, ny, beta_ur):
+        with pytest.raises(DomainError):
+            moment_m2_grid(small_geom(), jakes(1.0), beta_ur, nx, ny)
 
 
 class TestSurfaceCovariance:
@@ -453,14 +475,12 @@ class TestRunReplicates:
         # Var[Y] is grid-sensitive (unlike the mean).  Each grid's Monte
         # Carlo variance must match that grid's exact variance, and the
         # exact grid variances must walk toward the closed form.
-        from contris.analytic import moment_m2_iso
-
         geom = paper_system.geometry
         beta_ur = derive_gains(paper_system).beta_ur
         m1 = moment_m1(geom, beta_ur)
         target = moment_m2_iso(geom, paper_system.correlation, beta_ur) - m1 ** 2
         sides = (8, 16, 32, 64)
-        exact = [grid_variance(geom, paper_system.correlation, beta_ur, side, side) - m1 ** 2
+        exact = [moment_m2_grid(geom, paper_system.correlation, beta_ur, side, side) - m1 ** 2
                  for side in sides]
         gaps = [abs(v - target) for v in exact]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
