@@ -278,18 +278,29 @@ def _fix_signs(eigvecs: np.ndarray) -> None:
 
     LAPACK leaves the sign of an eigenvector to the implementation, and
     OpenBLAS picks other signs at another thread count, which would change
-    every sample drawn through the flipped columns.  The ramp has no mirror
-    or axis-swap symmetry, so neither the symmetric nor the antisymmetric
-    eigenvectors of such a symmetry are orthogonal to it.
+    every sample drawn through the flipped columns.  The ramp decides the
+    sign only where the projection stands well clear of roundoff.  That
+    holds for the parity blocks of the surface, which carry no mirror
+    symmetry: their kept columns project at 1e-10 of the ramp's norm or
+    more on every grid tested.  It fails for a matrix with a mirror
+    symmetry in two axes, such as R_d: its eigenvectors that are odd in
+    both axes are orthogonal to every affine function of the flat index, so
+    :func:`direct_factor` uses a factor that carries no signs.
     """
     ramp = np.arange(1.0, eigvecs.shape[0] + 1.0)
     eigvecs *= np.where(ramp @ eigvecs < 0.0, -1.0, 1.0)
 
 
-def _block_factors(blocks) -> tuple[list, float]:
+def _unit_factors(blocks, weights) -> tuple[list, list, float]:
     """Real factors F_k with F_k F_k^T ~= block_k for the diagonal blocks
-    of one symmetric matrix.
+    of one correlation matrix, scaled so that every point has unit power;
+    the kept eigenvectors V_k of each block, F_k's column space; and the
+    clipped mass.
 
+    ``weights[k]`` holds the weight of block k's basis vector on each point
+    its rows cover, one entry per row, shaped as the leading corner of
+    ``weights[0]`` that those points fill.  A point's power is
+    sum_k weights[k]^2 * (row power of F_k) over the blocks that cover it.
     The clipped-mass limit, the rejection ratio and the rank truncation are
     judged on the union of the block spectra, as for the whole matrix.
     Each eigenvector's sign is fixed by :func:`_fix_signs`.
@@ -303,22 +314,23 @@ def _block_factors(blocks) -> tuple[list, float]:
             f"clipped eigenvalue mass {clipped_mass:.3e} exceeds "
             f"{_CLIPPED_MASS_LIMIT:.0e}")
     keep = eigvals > _RANK_TRUNCATION * eigvals.max()
-    factors, start = [], 0
-    for _, eigvecs in spectra:
+    corners = [tuple(map(slice, weight.shape)) for weight in weights]
+    factors, bases, start = [], [], 0
+    power = np.zeros(weights[0].shape)
+    for (_, eigvecs), weight, corner in zip(spectra, weights, corners):
         stop = start + eigvecs.shape[1]
-        kept = keep[start:stop]
-        factors.append(eigvecs[:, kept] * np.sqrt(eigvals[start:stop][kept]))
+        # eigh sorts each spectrum ascending, so the dropped columns lead
+        kept = slice(np.count_nonzero(~keep[start:stop]), None)
+        bases.append(eigvecs[:, kept])
+        factors.append(bases[-1] * np.sqrt(eigvals[start:stop][kept]))
+        power[corner] += weight ** 2 * (factors[-1] ** 2).sum(axis=1).reshape(weight.shape)
         start = stop
-    return factors, clipped_mass
-
-
-def _unit_factor(corr: np.ndarray) -> np.ndarray:
-    """Real factor L with L L^T ~= corr and exactly unit row power."""
-    (factor,), _ = _block_factors([corr])
-    row_power = (factor * factor).sum(axis=1)
-    if np.any(row_power <= 0.0):
+    if np.any(power <= 0.0):
         raise CovarianceRepairFailure("a grid point lost all covariance mass")
-    return factor / np.sqrt(row_power)[:, None]
+    unit = 1.0 / np.sqrt(power)
+    for factor, weight, corner in zip(factors, weights, corners):
+        factor *= (weight * unit[corner]).reshape(-1, 1)
+    return factors, bases, clipped_mass
 
 
 def build_surface_covariance(
@@ -336,28 +348,27 @@ def build_surface_covariance(
     """
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
-    blocks = surface_blocks(geom, grid, model)
     weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
                for sx, sy in _PARITIES]
-    factors, clipped_mass = _block_factors(blocks)
-    row_power = np.zeros(weights[0].shape)
-    for factor, weight in zip(factors, weights):
-        mx, my = weight.shape
-        row_power[:mx, :my] += weight ** 2 * (factor * factor).sum(axis=1).reshape(mx, my)
-    if np.any(row_power <= 0.0):
-        raise CovarianceRepairFailure("a grid point lost all covariance mass")
-    scale = math.sqrt(beta_ur) / np.sqrt(row_power)
-    for factor, weight in zip(factors, weights):
-        mx, my = weight.shape
-        factor *= (weight * scale[:mx, :my]).reshape(-1, 1)
+    factors, _, clipped_mass = _unit_factors(surface_blocks(geom, grid, model), weights)
+    for factor in factors:
+        factor *= math.sqrt(beta_ur)
     return FieldSampler(blocks=tuple(factors), grid=grid, clipped_mass=clipped_mass)
 
 
 def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
     """Real factor D with D D^T = beta_d R_d / 2, the covariance of each
-    component of the direct channel CN(0, beta_d R_d): the map from
-    :func:`draw_block`'s unit normals to either component."""
-    return math.sqrt(0.5 * beta_d) * _unit_factor(r_d)
+    component of the direct channel CN(0, beta_d R_d): the (M, M) map from
+    :func:`draw_block`'s unit normals to either component.
+
+    D = F V^T for the unit-power factor F of R_d and its kept eigenvectors
+    V, so an eigenvector's sign cancels in D, and so does any rotation
+    within an exactly degenerate eigenspace.  R_d's mirror symmetries leave
+    the signs of some columns of :func:`_fix_signs` to roundoff, and a
+    square array has degenerate eigenvalue pairs; D depends on neither.
+    """
+    (factor,), (basis,), _ = _unit_factors([r_d], [np.ones(r_d.shape[0])])
+    return math.sqrt(0.5 * beta_d) * (factor @ basis.T)
 
 
 def sample_field(sampler: FieldSampler, coeffs: np.ndarray) -> np.ndarray:
@@ -376,7 +387,7 @@ def compute_Y(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Direct channels, (M, k), from normal columns (rank, 2k) through a
+    """Direct channels, (M, k), from normal columns (M, 2k) through a
     :func:`direct_factor`: channel j takes its real part from column j and
     its imaginary part from column k + j."""
     h = factor @ normals

@@ -19,22 +19,18 @@ Implementation notes
   mean (Abramowitz & Stegun 17.6).  Nine AGM steps reach full precision on
   all of [0, 1), so there is no convergence test; z = 1 takes the exact
   Gauss-summation value 4/pi.
-* ``bessel_j0`` and ``gauss_2f1_half`` do a fixed amount of work per
-  element and run over fixed blocks of 2^15 elements of the flattened
-  input, so their temporaries stay in cache and their memory stays bounded
-  for inputs of any size.
 * ``reg_lower_gamma`` takes an array ``x`` and follows the classic series /
   continued-fraction split at x = a + 1: a series loop over the elements
   below the split and a modified Lentz loop over those above, each dropping
-  elements as they converge.  Log-gamma comes from a Lanczos approximation
-  (g = 7, 9 coefficients), and the shared prefactor x^a e^-x / Gamma(a) is
-  arranged so that its large terms do not cancel near x = a.
+  elements as they converge.  The shared prefactor x^a e^-x / Gamma(a)
+  takes Gamma from a Lanczos approximation (g = 7, 9 coefficients),
+  arranged so that its large terms do not cancel near x = a; below
+  a = 1/2 it takes ``math.lgamma``.
 
-All functions are pure.  Apart from ``log_gamma`` and the shape ``a`` of
-``reg_lower_gamma``, they accept scalars or numpy arrays of any shape; a
-scalar argument gives a float.  ``bessel_j0``, ``gauss_2f1_half`` and
-``reg_lower_gamma`` raise :class:`DomainError` on NaN; J0(+-inf) = 0 and
-P(a, inf) = 1.
+All functions are pure.  Apart from the shape ``a`` of ``reg_lower_gamma``,
+they accept scalars or numpy arrays of any shape; a scalar argument gives
+a float.  ``bessel_j0``, ``gauss_2f1_half`` and ``reg_lower_gamma`` raise
+:class:`DomainError` on NaN; J0(+-inf) = 0 and P(a, inf) = 1.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ __all__ = [
     "bessel_j0",
     "gauss_2f1_half",
     "reg_lower_gamma",
-    "log_gamma",
     "GAUSS_2F1_AT_ONE",
 ]
 
@@ -116,22 +111,10 @@ _J0_PHASE = (
 )
 
 
-# Elements per block of the blocked kernels: their temporaries stay in cache,
-# and their memory stays bounded, whatever the size of the input.
-_BLOCK = 1 << 15
-
-
-def _blockwise(kernel, x):
-    """Apply an elementwise ``kernel`` over fixed blocks of the flattened ``x``.
-
-    Returns a float for scalar input and an array of ``x``'s shape otherwise.
-    """
-    arr = np.asarray(x, dtype=float)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, _BLOCK):
-        out[lo:lo + _BLOCK] = kernel(flat[lo:lo + _BLOCK])
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+def _shaped(arr: np.ndarray, flat: np.ndarray):
+    """``flat``, the values of the flattened ``arr``, as a float for a
+    scalar ``arr`` and in ``arr``'s shape otherwise."""
+    return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
 
 
 def _clenshaw(coef, u):
@@ -151,29 +134,6 @@ def _horner(coef, s):
     return acc
 
 
-def _bessel_j0_block(x):
-    arr = np.abs(x)
-    if np.isnan(arr).any():
-        raise DomainError("bessel_j0 is undefined at NaN")
-    out = np.zeros_like(arr)  # the limit at +-inf, which the branches skip
-
-    small = arr <= _J0_CROSSOVER
-    xs = arr[small]
-    if xs.size:
-        u = xs * xs * (2.0 / (_J0_CROSSOVER * _J0_CROSSOVER)) - 1.0
-        out[small] = _clenshaw(_J0_SMALL, u)
-
-    large = ~small & (arr < math.inf)
-    xl = arr[large]
-    if xl.size:
-        inv = 1.0 / xl
-        s = inv * inv * (_J0_CROSSOVER * _J0_CROSSOVER)
-        # the small phase terms first, so the argument is rounded only once
-        phase = _horner(_J0_PHASE, s) * inv - 0.25 * math.pi
-        out[large] = _horner(_J0_MODULUS, s) * np.sqrt(inv) * np.cos(xl + phase)
-    return out
-
-
 def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
@@ -187,30 +147,32 @@ def bessel_j0(x):
     x (theta0 - x + pi/4) are polynomials in (12/x)^2, truncated from their
     Chebyshev interpolants.
     """
-    return _blockwise(_bessel_j0_block, x)
+    arr = np.asarray(x, dtype=float)
+    ax = np.abs(arr.reshape(-1))
+    if np.isnan(ax).any():
+        raise DomainError("bessel_j0 is undefined at NaN")
+    out = np.zeros_like(ax)  # the limit at +-inf, which the branches skip
+
+    small = ax <= _J0_CROSSOVER
+    xs = ax[small]
+    if xs.size:
+        u = xs * xs * (2.0 / (_J0_CROSSOVER * _J0_CROSSOVER)) - 1.0
+        out[small] = _clenshaw(_J0_SMALL, u)
+
+    large = ~small & (ax < math.inf)
+    xl = ax[large]
+    if xl.size:
+        inv = 1.0 / xl
+        s = inv * inv * (_J0_CROSSOVER * _J0_CROSSOVER)
+        # the small phase terms first, so the argument is rounded only once
+        phase = _horner(_J0_PHASE, s) * inv - 0.25 * math.pi
+        out[large] = _horner(_J0_MODULUS, s) * np.sqrt(inv) * np.cos(xl + phase)
+    return _shaped(arr, out)
 
 
 # AGM steps for 2F1: the slowest start, z = 1 - 2^-53 (b_0 = 2^-26.5), has
 # converged to the last bit after eight; the ninth is spare.
 _AGM_STEPS = 9
-
-
-def _gauss_2f1_half_block(z):
-    if not np.all((z >= 0.0) & (z <= 1.0)):
-        raise DomainError("gauss_2f1_half requires 0 <= z <= 1")
-    a = np.ones_like(z)
-    b = np.sqrt(1.0 - z)
-    f = np.ones_like(z)
-    weight = 1.0
-    for _ in range(_AGM_STEPS):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        weight *= 2.0
-        f -= weight * c * c
-    f /= a
-    # at z = 1 the AGM of (1, 0) is 0: K diverges and only the limit is exact
-    f[z == 1.0] = GAUSS_2F1_AT_ONE
-    return f
 
 
 def gauss_2f1_half(z):
@@ -230,11 +192,27 @@ def gauss_2f1_half(z):
     precision on all of [0, 1), so every element costs the same; relative
     error is a few ulp.  Accepts scalars or arrays of any shape.
     """
-    return _blockwise(_gauss_2f1_half_block, z)
+    arr = np.asarray(z, dtype=float)
+    z = arr.reshape(-1)
+    if not np.all((z >= 0.0) & (z <= 1.0)):
+        raise DomainError("gauss_2f1_half requires 0 <= z <= 1")
+    a = np.ones_like(z)
+    b = np.sqrt(1.0 - z)
+    f = np.ones_like(z)
+    weight = 1.0
+    for _ in range(_AGM_STEPS):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        weight *= 2.0
+        f -= weight * c * c
+    f /= a
+    # at z = 1 the AGM of (1, 0) is 0: K diverges and only the limit is exact
+    f[z == 1.0] = GAUSS_2F1_AT_ONE
+    return _shaped(arr, f)
 
 
-# Lanczos approximation, g = 7, n = 9; relative error of exp(log_gamma) is
-# a few ulp for positive arguments.
+# Lanczos approximation of Gamma, g = 7, n = 9; its relative error is a few
+# ulp for arguments of 1/2 and above.
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
     0.99999999999980993,
@@ -258,17 +236,6 @@ def _lanczos_sum(a: float) -> float:
     return acc
 
 
-def log_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0 (Lanczos approximation)."""
-    if a <= 0.0:
-        raise DomainError("log_gamma requires a > 0")
-    if a < 0.5:
-        # reflection keeps the rational part well conditioned near zero
-        return math.log(math.pi / math.sin(math.pi * a)) - log_gamma(1.0 - a)
-    t = a + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (a - 0.5) * math.log(t) - t + math.log(_lanczos_sum(a))
-
-
 def _log_prefactor(a: float, x):
     """log(x^a e^-x / Gamma(a)), the factor shared by P(a, x) and Q(a, x).
 
@@ -280,7 +247,7 @@ def _log_prefactor(a: float, x):
     longer exact, log(x / t) replaces log1p(u).
     """
     if a < 0.5:
-        return a * np.log(x) - x - log_gamma(a)
+        return a * np.log(x) - x - math.lgamma(a)
     t = a + _LANCZOS_G - 0.5
     u = (x - t) / t
     log_ratio = np.where(x < 0.5 * t, np.log(x / t), np.log1p(u))
@@ -322,7 +289,7 @@ def reg_lower_gamma(a: float, x):
         if idx.size:
             xs = flat[idx]
             out[idx] = branch(a, xs, np.exp(_log_prefactor(a, xs)))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _shaped(arr, out)
 
 
 def _lower_series(a, x, prefactor):

@@ -306,10 +306,11 @@ class TestValidate:
         assert checks["mean_y_exactness_z"].passed
 
     def test_direct_correlation_factored_at_most_twice(self, monkeypatch):
+        # R_d is the only one-block matrix the factor routine sees
         calls = []
-        factor = mcsim._unit_factor
-        monkeypatch.setattr(mcsim, "_unit_factor",
-                            lambda corr: calls.append(corr) or factor(corr))
+        factors = mcsim._unit_factors
+        monkeypatch.setattr(mcsim, "_unit_factors", lambda blocks, weights: (
+            len(blocks) == 1 and calls.append(blocks)) or factors(blocks, weights))
         assert validate(tiny_config(replicates=400)).all_passed
         assert len(calls) <= 2
 

@@ -262,6 +262,41 @@ class TestDirectChannel:
         se_proj = proj.std(ddof=1) / math.sqrt(n)
         assert abs(proj.mean() - expect) < 3.0 * se_proj
 
+    def test_factor_does_not_depend_on_eigenvector_signs(self, monkeypatch):
+        r_d = bs_correlation_matrix(BsArrayConfig(), jakes())
+        factor = direct_factor(r_d, 2.0)
+        assert np.max(np.abs(factor @ factor.T - r_d)) < 1e-12
+        fix_signs = mcsim._fix_signs
+
+        def flip_every_other(eigvecs):
+            fix_signs(eigvecs)
+            eigvecs[:, ::2] *= -1.0
+
+        monkeypatch.setattr(mcsim, "_fix_signs", flip_every_other)
+        assert np.array_equal(direct_factor(r_d, 2.0), factor)
+
+    @pytest.mark.parametrize("array", [
+        BsArrayConfig(),
+        BsArrayConfig(m_x=16, m_z=8, spacing_wavelengths=0.25),
+        BsArrayConfig(m_x=12, m_z=12),
+    ], ids=["default", "16x8-quarter-wavelength", "12x12"])
+    def test_roundoff_in_correlation_moves_channels_by_roundoff(self, array):
+        # R_d's mirror symmetries make some of its eigenvectors orthogonal to
+        # any sign ramp, and a square array has degenerate eigenvalue pairs,
+        # so a factor that kept the eigenvectors' signs moved these channels
+        # by 0.5 to 1.2 relative.  The factor's square root moves by about
+        # delta / sqrt(lambda) at the smallest kept eigenvalue lambda, 1e-9
+        # relative at most on these arrays.
+        r_d = bs_correlation_matrix(array, jakes())
+        factor = direct_factor(r_d, 1.0)
+        normals = np.random.default_rng(1).standard_normal((factor.shape[1], 512))
+        channels = sample_direct_channel(factor, normals)
+        for seed in range(3):
+            noise = np.random.default_rng(seed).uniform(-2e-15, 2e-15, r_d.shape)
+            moved = sample_direct_channel(
+                direct_factor(r_d + 0.5 * (noise + noise.T), 1.0), normals)
+            assert np.linalg.norm(moved - channels) <= 1e-8 * np.linalg.norm(channels)
+
     def test_identity_correlation_off_diagonal(self):
         n = 20000
         normals = np.random.default_rng(3).standard_normal((3, 2 * n))

@@ -15,7 +15,6 @@ from contris.specfun import (
     GAUSS_2F1_AT_ONE,
     bessel_j0,
     gauss_2f1_half,
-    log_gamma,
     reg_lower_gamma,
     sinc_norm,
 )
@@ -120,7 +119,7 @@ class TestBesselJ0:
                 bessel_j0(x)
 
     def test_blocked_array_matches_scalar_calls_bit_for_bit(self):
-        # 9e4 elements span three evaluation blocks and both branches; every
+        # 9e4 elements of a 2-D array in one call, over both branches; every
         # 7th element is checked, which keeps the scalar calls to ~1 s
         xs = np.random.default_rng(7).uniform(-40.0, 40.0, (300, 300))
         out = bessel_j0(xs)
@@ -153,6 +152,8 @@ class TestGauss2F1Half:
         assert np.max(np.abs(gauss_2f1_half(zs) / self.mp_2f1(zs) - 1.0)) <= 1e-14
 
     def test_blocked_array_matches_scalar_calls(self):
+        # 9e4 elements of a 2-D array in one call, the endpoints and values
+        # near 1 among them; every 7th element is checked
         rng = np.random.default_rng(11)
         zs = rng.uniform(0.0, 1.0, (300, 300))
         zs[0, :49] = 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 49)
@@ -227,16 +228,3 @@ class TestRegLowerGamma:
                      (math.nan, 1.0), (math.inf, 1.0), (2.0, [1.0, math.nan])]:
             with pytest.raises(DomainError):
                 reg_lower_gamma(a, x)
-
-
-class TestLogGamma:
-    def test_against_libm(self):
-        for a in np.concatenate([np.linspace(0.02, 10, 997), [0.5, 1.0, 2.0, 57.0, 301.5]]):
-            mine = log_gamma(float(a))
-            ref = math.lgamma(float(a))
-            assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-
