@@ -85,8 +85,7 @@ from .analytic import (
 from .errors import ConfigError, ContrisError, DomainError
 from .mcsim import (
     EmpiricalCdf,
-    _replicates,
-    draw_block,
+    Oracle,
     make_grid,
     optimal_phase_profile,
     run_replicates,
@@ -102,7 +101,6 @@ from .sysmodel import (
     SurfaceGeometry,
     SystemConfig,
     derive_gains,
-    steering_vector,
 )
 
 SPEED_OF_LIGHT = 299792458.0
@@ -172,8 +170,8 @@ class ExperimentConfig:
         if not (len(self.grid) == 2
                 and all(isinstance(n, numbers.Integral) and n >= 2 for n in self.grid)):
             raise ConfigError("grid must have at least 2 points per axis")
-        if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 1):
-            raise ConfigError("replicates must be an integer >= 1")
+        if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 2):
+            raise ConfigError("replicates must be an integer >= 2, for a standard error")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError("seed must be a nonnegative integer")
 
@@ -569,7 +567,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 
     n_small = min(cfg.replicates, 20000)
     grid = make_grid(geom, cfg.grid[0], cfg.grid[1])
-    batch, sampler, direct = _replicates(system, grid, n_small, _point_seed(cfg.seed, 0, 0))
+    oracle = Oracle.build(system, grid)
+    batch = oracle.batch(n_small, _point_seed(cfg.seed, 0, 0))
     summary = batch.summaries()
 
     record("mean_y_exactness_z",
@@ -598,12 +597,11 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         # the batch's first block, redrawn through the batch's own factors and
         # scored by the expansion in Y, against the norm form of the same
         # draws under their optimal phases
-        coeffs, h_d = draw_block(sampler, direct, batch.seed, 0)
+        coeffs, h_d = oracle.draw_block(batch.seed, 0)
         k = min(batch.n, h_d.shape[1])
-        fields, h_d = sample_field(sampler, coeffs)[:, :k], h_d[:, :k]
-        a_b = steering_vector(system.array)
-        norm = snr_under_profile(fields, h_d, a_b,
-                                 optimal_phase_profile(fields, h_d, a_b), system, grid)
+        fields, h_d = sample_field(oracle.sampler, coeffs)[:, :k], h_d[:, :k]
+        phases = optimal_phase_profile(fields, h_d, oracle.a_b)
+        norm = snr_under_profile(fields, h_d, oracle.a_b, phases, system, grid)
         return np.max(np.abs(batch.snr_samples[:k] - norm) / norm)
 
     record("snr_expansion_identity_rel", snr_identity, 1e-10)

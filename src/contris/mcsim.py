@@ -11,8 +11,8 @@ blocks, which are built and factorized separately.  The replicate loop
 sums Y from the four blocks' parts of the field over a few mirror rows at
 a time and never builds the field on the whole grid.
 
-Every sample is drawn by :func:`draw_block`, one fixed block of 256
-replicates at a time, and every per-draw function takes column blocks.
+Every sample is drawn by :meth:`Oracle.draw_block`, one fixed block of
+256 replicates at a time, and every per-draw function takes column blocks.
 
 Determinism contract: block b draws from its own stream seeded by
 (master seed, b), so results are a pure function of (seed, config, grid,
@@ -48,18 +48,16 @@ __all__ = [
     "EmpiricalCdf",
     "make_grid",
     "suggest_grid",
-    "grid_points",
     "surface_blocks",
     "build_surface_covariance",
     "sample_field",
     "compute_Y",
     "sample_direct_channel",
     "direct_factor",
-    "draw_block",
     "optimal_phase_profile",
     "optimal_snr_sample",
     "snr_under_profile",
-    "random_stream",
+    "Oracle",
     "run_replicates",
 ]
 
@@ -120,14 +118,6 @@ def suggest_grid(geom: SurfaceGeometry, model: IsotropicCorrelation) -> GridSpec
         return min(max(_MIN_SIDE, math.ceil(length / target)), _MAX_SIDE)
 
     return make_grid(geom, side(geom.width_m), side(geom.height_m))
-
-
-def grid_points(geom: SurfaceGeometry, grid: GridSpec) -> np.ndarray:
-    """Cell-center coordinates, shape (n_points, 2), x-major order."""
-    xs = (np.arange(grid.nx) + 0.5) * geom.width_m / grid.nx
-    ys = (np.arange(grid.ny) + 0.5) * geom.height_m / grid.ny
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 # The grid's reflection in each axis splits the cells of that axis into an
@@ -226,8 +216,9 @@ class FieldSampler:
 
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """Y = cell_area * sum over the grid of |field|, (k / 2,), for the
-        complex fields of :func:`draw_block`'s coefficient columns (rank,
-        k): real parts first, imaginary ones last, scaled by sqrt(1/2).
+        complex fields of :meth:`Oracle.draw_block`'s coefficient columns
+        (rank, k): real parts first, imaginary ones last, scaled by
+        sqrt(1/2).
 
         The field is unfolded a few lower-half x rows and their mirror rows
         at a time, about _CHUNK values whatever the number of columns, and
@@ -359,7 +350,7 @@ def build_surface_covariance(
 def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
     """Real factor D with D D^T = beta_d R_d / 2, the covariance of each
     component of the direct channel CN(0, beta_d R_d): the (M, M) map from
-    :func:`draw_block`'s unit normals to either component.
+    :meth:`Oracle.draw_block`'s unit normals to either component.
 
     D = F V^T for the unit-power factor F of R_d and its kept eigenvectors
     V, so an eigenvector's sign cancels in D, and so does any rotation
@@ -372,8 +363,9 @@ def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
 
 
 def sample_field(sampler: FieldSampler, coeffs: np.ndarray) -> np.ndarray:
-    """Complex fields on the grid, (n_points, k), for :func:`draw_block`'s
-    coefficient columns (rank, 2k); marginals CN(0, beta_ur)."""
+    """Complex fields on the grid, (n_points, k), for the coefficient
+    columns (rank, 2k) of :meth:`Oracle.draw_block`; marginals
+    CN(0, beta_ur)."""
     re, im = np.split(sampler.apply(_SQRT_HALF * coeffs), 2, axis=1)
     return re + 1j * im
 
@@ -393,38 +385,6 @@ def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray
     h = factor @ normals
     k = normals.shape[1] // 2
     return h[:, :k] + 1j * h[:, k:]
-
-
-def random_stream(seed: int, index: int) -> np.random.Generator:
-    """Random stream of replicate block ``index`` of the batch with master
-    ``seed``, a pure function of both; :func:`draw_block` draws from it."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
-
-
-# Replicates are drawn and scored in fixed blocks, each drawn in full, also
-# past n, and run through identically shaped BLAS calls, so a replicate's
-# value depends only on its index: reruns agree bit for bit and prefixes
-# agree across n.
-_BLOCK = 256
-
-
-def draw_block(
-    sampler: FieldSampler, direct: np.ndarray, seed: int, index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replicate block ``index`` of the batch with master ``seed``: its
-    field coefficients, (rank, 512), and its direct channels, (M, 256).
-
-    The block's normals are one draw from ``random_stream(seed, index)``.
-    Rows are the field coefficients, then the direct ones; columns are the
-    real parts of the block's 256 replicates, then their imaginary parts.
-    The normals have unit variance and a unit complex draw 1/2 per
-    component, so the maps from them scale by sqrt(1/2):
-    :meth:`FieldSampler.abs_sums` gives the block's Y, :func:`sample_field`
-    its fields, and ``direct`` is a :func:`direct_factor`.
-    """
-    z = random_stream(seed, index).standard_normal(
-        (sampler.rank + direct.shape[1], 2 * _BLOCK))
-    return z[:sampler.rank], sample_direct_channel(direct, z[sampler.rank:])
 
 
 def optimal_phase_profile(
@@ -513,6 +473,8 @@ class ReplicateBatch:
 
     def summaries(self) -> BatchSummary:
         """Estimator summaries, recomputed from the stored samples."""
+        if self.n < 2:
+            raise DomainError("a standard error needs two replicates at least")
         snr = self.snr_samples
         y = self.y_samples
         se = self.se_samples()
@@ -529,50 +491,89 @@ class ReplicateBatch:
         )
 
 
-def run_replicates(
-    cfg: SystemConfig, grid: GridSpec, n: int, seed: int,
-) -> ReplicateBatch:
-    """Draw n independent (field, direct channel) pairs and score them.
+# Replicates are drawn and scored in fixed blocks, each drawn in full, also
+# past n, and run through identically shaped BLAS calls, so a replicate's
+# value depends only on its index: reruns agree bit for bit and prefixes
+# agree across n.
+_BLOCK = 256
 
-    Replicate block b (replicates 256 b to 256 b + 255) is
-    ``draw_block(sampler, direct, seed, b)``, always drawn in full.  The
-    batch is therefore a pure function of (seed, cfg, grid, n), and the
-    first k samples of a longer run equal a shorter run's.  Reruns are bit-identical at a fixed BLAS thread count; another
-    thread count changes the factor and the products by roundoff.
 
-    Y is summed by :meth:`FieldSampler.abs_sums` from the parity parts of
-    the field, in a fixed order of chunks, so it equals the Riemann sum of
-    :func:`sample_field`'s fields to roundoff, not bit for bit.
+@dataclass(frozen=True)
+class Oracle:
+    """The Monte Carlo oracle of one system on one grid: its surface
+    sampler, array :func:`direct_factor` and steering vector, built once.
+
+    Block b of the batch with a master seed, replicates 256 b to 256 b +
+    255, is ``draw_block(seed, b)``, always drawn in full, so a batch is a
+    pure function of (seed, cfg, grid, n) and the first k samples of a
+    longer run equal a shorter run's.  Reruns are bit-identical at a fixed
+    BLAS thread count; another thread count moves them by roundoff.
     """
-    return _replicates(cfg, grid, n, seed)[0]
+
+    cfg: SystemConfig
+    sampler: FieldSampler
+    direct: np.ndarray
+    a_b: np.ndarray
+
+    @classmethod
+    def build(cls, cfg: SystemConfig, grid: GridSpec) -> Oracle:
+        """Check that ``grid`` covers the surface; factor both correlations."""
+        area = cfg.geometry.area_m2
+        if abs(grid.cell_area * grid.n_points - area) > 1e-9 * area:
+            raise DomainError("grid does not cover the configured surface")
+        gains = derive_gains(cfg)
+        return cls(
+            cfg=cfg,
+            sampler=build_surface_covariance(cfg.geometry, grid, cfg.correlation,
+                                             gains.beta_ur),
+            direct=direct_factor(bs_correlation_matrix(cfg.array, cfg.bs_correlation),
+                                 gains.beta_d),
+            a_b=steering_vector(cfg.array))
+
+    def draw_block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Replicate block ``index`` of the batch with master ``seed``: its
+        field coefficients, (rank, 512), and its direct channels, (M, 256).
+
+        The block's normals are one C-order draw from the stream seeded by
+        (seed, index).  Rows are the field coefficients, then the direct
+        ones, so the field rows do not depend on M; columns are the real
+        parts of the block's 256 replicates, then their imaginary parts.
+        The normals have unit variance and a unit complex draw 1/2 per
+        component, so the maps from them scale by sqrt(1/2):
+        :meth:`FieldSampler.abs_sums` gives the block's Y and
+        :func:`sample_field` its fields.
+        """
+        rank = self.sampler.rank
+        z = np.random.default_rng(np.random.SeedSequence((seed, index))).standard_normal(
+            (rank + self.direct.shape[1], 2 * _BLOCK))
+        return z[:rank], sample_direct_channel(self.direct, z[rank:])
+
+    def batch(self, n: int, seed: int) -> ReplicateBatch:
+        """The first n replicates of the batch with master ``seed``, scored.
+
+        Y is summed by :meth:`FieldSampler.abs_sums` from the parity parts
+        of the field, in a fixed order of chunks, so it equals the Riemann
+        sum of :func:`sample_field`'s fields to roundoff, not bit for bit.
+        """
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise DomainError("n must be an integer >= 1")
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise DomainError("seed must be a nonnegative integer")
+        padded = -(-n // _BLOCK) * _BLOCK
+        y = np.empty(padded)
+        snr = np.empty(padded)
+        for index, start in enumerate(range(0, padded, _BLOCK)):
+            coeffs, h_d = self.draw_block(seed, index)
+            rows = slice(start, start + _BLOCK)
+            y[rows] = self.sampler.abs_sums(coeffs)
+            snr[rows] = optimal_snr_sample(h_d, y[rows], self.a_b, self.cfg)
+        return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
 
 
-def _replicates(
-    cfg: SystemConfig, grid: GridSpec, n: int, seed: int,
-) -> tuple[ReplicateBatch, FieldSampler, np.ndarray]:
-    """:func:`run_replicates`'s batch, with the sampler and the direct
-    factor that a caller needs to redraw its blocks."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError("n must be an integer >= 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise DomainError("seed must be a nonnegative integer")
-    if abs(grid.cell_area * grid.n_points - cfg.geometry.area_m2) > 1e-9 * cfg.geometry.area_m2:
-        raise DomainError("grid does not cover the configured surface")
-
-    gains = derive_gains(cfg)
-    sampler = build_surface_covariance(cfg.geometry, grid, cfg.correlation, gains.beta_ur)
-    direct = direct_factor(bs_correlation_matrix(cfg.array, cfg.bs_correlation), gains.beta_d)
-    a_b = steering_vector(cfg.array)
-
-    padded = -(-n // _BLOCK) * _BLOCK
-    y = np.empty(padded)
-    snr = np.empty(padded)
-    for index, start in enumerate(range(0, padded, _BLOCK)):
-        coeffs, h_d = draw_block(sampler, direct, seed, index)
-        rows = slice(start, start + _BLOCK)
-        y[rows] = sampler.abs_sums(coeffs)
-        snr[rows] = optimal_snr_sample(h_d, y[rows], a_b, cfg)
-    return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed), sampler, direct
+def run_replicates(cfg: SystemConfig, grid: GridSpec, n: int, seed: int) -> ReplicateBatch:
+    """Draw n independent (field, direct channel) pairs and score them:
+    ``Oracle.build(cfg, grid).batch(n, seed)``."""
+    return Oracle.build(cfg, grid).batch(n, seed)
 
 
 class EmpiricalCdf:

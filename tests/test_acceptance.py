@@ -29,9 +29,7 @@ from contris.analytic import (
 from contris.cli import SETUPS, default_system
 from contris.mcsim import (
     EmpiricalCdf,
-    build_surface_covariance,
-    direct_factor,
-    draw_block,
+    Oracle,
     make_grid,
     optimal_phase_profile,
     sample_field,
@@ -43,9 +41,7 @@ from contris.sysmodel import (
     CorrelationKind,
     IsotropicCorrelation,
     SurfaceGeometry,
-    bs_correlation_matrix,
     derive_gains,
-    steering_vector,
 )
 
 from conftest import MASTER_SEED
@@ -242,26 +238,22 @@ def test_criterion_7_channel_hardening(batches):
             f"relative gap = {worst_rel:.3f} (tol 0.15)")
 
 
-def test_criterion_8_per_sample_identity_and_dominance(batches):
+def test_criterion_8_per_sample_identity_and_dominance():
     system = _system(0.2, CorrelationKind.JAKES)
     grid = make_grid(system.geometry, 16, 16)
-    gains = derive_gains(system)
-    sampler = build_surface_covariance(system.geometry, grid,
-                                       system.correlation, gains.beta_ur)
-    direct = direct_factor(bs_correlation_matrix(system.array, system.bs_correlation),
-                           gains.beta_d)
-    a_b = steering_vector(system.array)
+    oracle = Oracle.build(system, grid)
+    a_b = oracle.a_b
 
     def draws(seed, index):
-        coeffs, h_d = draw_block(sampler, direct, seed, index)
-        fields = sample_field(sampler, coeffs)
+        coeffs, h_d = oracle.draw_block(seed, index)
+        fields = sample_field(oracle.sampler, coeffs)
         best = snr_under_profile(fields, h_d, a_b, optimal_phase_profile(fields, h_d, a_b),
                                  system, grid)
         return fields, h_d, best
 
     # the replicate loop's expansion in Y against the norm form of its draws
     n = 10 ** 4
-    expanded = batches(system, grid.nx, grid.ny, n).snr_samples
+    expanded = oracle.batch(n, MASTER_SEED).snr_samples
     norm = np.concatenate([draws(MASTER_SEED, index)[2]
                            for index in range(-(-n // 256))])[:n]
     worst_rel = float(np.max(np.abs(expanded - norm) / norm))

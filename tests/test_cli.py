@@ -144,7 +144,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"replicates": 1.5}, {"replicates": 0}, {"seed": 2.0}, {"seed": -1},
-        {"grid": (8, 8.5)}, {"grid": (1, 8)},
+        {"grid": (8, 8.5)}, {"grid": (1, 8)}, {"replicates": 1},
     ])
     def test_experiment_config_domain(self, overrides):
         with pytest.raises(ConfigError):
@@ -319,21 +319,22 @@ class TestValidate:
         # the batch run_replicates draws
         cfg = tiny_config(replicates=400)
         builds, batches = [], []
-        build, replicates = mcsim.build_surface_covariance, cli._replicates
+        build, batch_of = mcsim.build_surface_covariance, mcsim.Oracle.batch
 
-        def recorded(*args):
-            result = replicates(*args)
-            batches.append((args, result[0]))
-            return result
+        def recorded(oracle, n, seed):
+            batches.append((oracle, batch_of(oracle, n, seed)))
+            return batches[-1][1]
 
         monkeypatch.setattr(mcsim, "build_surface_covariance",
                             lambda *args: builds.append(args) or build(*args))
-        monkeypatch.setattr(cli, "_replicates", recorded)
+        monkeypatch.setattr(mcsim.Oracle, "batch", recorded)
         assert validate(cfg).all_passed
         assert len(builds) == 1
-        ((system, grid, n, seed), batch), = batches
+        (oracle, batch), = batches
+        system, grid = oracle.cfg, oracle.sampler.grid
         assert system == cfg.system and grid == make_grid(system.geometry, *cfg.grid)
-        expect = run_replicates(system, grid, n, seed)
+        monkeypatch.undo()
+        expect = run_replicates(system, grid, batch.n, batch.seed)
         assert np.array_equal(batch.y_samples, expect.y_samples)
         assert np.array_equal(batch.snr_samples, expect.snr_samples)
 
@@ -401,6 +402,7 @@ class TestMain:
                          "--out", "x.csv"]) == 2
         assert cli.main(["--scenario", "table1"]) == 2  # no output path
         assert cli.main([]) == 2  # no scenario
+        assert cli.main(["--validate", "--replicates", "1"]) == 2  # no standard error
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document", BAD_DOCUMENTS)

@@ -10,11 +10,10 @@ from contris.errors import DomainError
 from contris.mcsim import (
     EmpiricalCdf,
     GridSpec,
+    Oracle,
     build_surface_covariance,
     compute_Y,
     direct_factor,
-    draw_block,
-    grid_points,
     make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
@@ -49,10 +48,11 @@ def small_geom():
 
 
 def dense_correlation(geom, grid, model):
-    """Correlation of every pair of grid points, from their distances."""
-    pts = grid_points(geom, grid)
-    dist = np.hypot(pts[:, 0, None] - pts[None, :, 0],
-                    pts[:, 1, None] - pts[None, :, 1])
+    """Correlation of every pair of grid points, from the distances of the
+    cell centres, x-major."""
+    x = np.repeat((np.arange(grid.nx) + 0.5) * geom.width_m / grid.nx, grid.ny)
+    y = np.tile((np.arange(grid.ny) + 0.5) * geom.height_m / grid.ny, grid.nx)
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
     corr = model.rho(dist)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -87,11 +87,10 @@ def reflection_basis(n, sign):
 PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def field_draws(sampler, n, seed):
+def field_draws(oracle, n, seed):
     """The fields of the first n replicates of the batch with master seed
     ``seed``, (n_points, n), drawn block by block."""
-    direct = direct_factor(np.eye(1), 1.0)
-    blocks = [sample_field(sampler, draw_block(sampler, direct, seed, index)[0])
+    blocks = [sample_field(oracle.sampler, oracle.draw_block(seed, index)[0])
               for index in range(-(-n // 256))]
     return np.hstack(blocks)[:, :n]
 
@@ -102,12 +101,6 @@ class TestGrid:
         grid = make_grid(geom, 8, 4)
         assert grid.cell_area == pytest.approx(2.0 / 32.0)
         assert grid.n_points == 32
-
-    def test_cell_centers(self):
-        geom = SurfaceGeometry(1.0, 1.0)
-        pts = grid_points(geom, make_grid(geom, 2, 2))
-        expect = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
-        assert np.allclose(pts, expect)
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):
@@ -205,11 +198,12 @@ class TestSurfaceCovariance:
         perfect = IsotropicCorrelation(kind, 0.0, WAVELENGTH)
         assert build_surface_covariance(geom, grid, perfect, BETA_UR).rank == 1
 
-    def test_field_statistics(self):
+    def test_field_statistics(self, paper_system):
         geom = small_geom()
-        sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
+        oracle = Oracle.build(dataclasses.replace(paper_system, geometry=geom),
+                              make_grid(geom, 8, 8))
         n = 20000
-        draws = field_draws(sampler, n, 5)
+        draws = field_draws(oracle, n, 5)
         power = np.abs(draws[0]) ** 2
         se = power.std(ddof=1) / math.sqrt(n)
         assert abs(power.mean() - BETA_UR) < 3.0 * se
@@ -307,18 +301,17 @@ class TestDirectChannel:
 
 
 class TestPhaseProfile:
-    def _draw(self):
+    @staticmethod
+    def _draw(system):
         # the 256 fields and direct channels of one replicate block
         geom = small_geom()
-        grid = make_grid(geom, 6, 6)
-        sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
-        arr = BsArrayConfig()
-        direct = direct_factor(bs_correlation_matrix(arr, jakes()), 1.4e-12)
-        coeffs, h_d = draw_block(sampler, direct, 1234, 0)
-        return geom, grid, sample_field(sampler, coeffs), h_d, steering_vector(arr)
+        oracle = Oracle.build(dataclasses.replace(system, geometry=geom),
+                              make_grid(geom, 6, 6))
+        coeffs, h_d = oracle.draw_block(1234, 0)
+        return oracle, sample_field(oracle.sampler, coeffs), h_d, oracle.a_b
 
-    def test_unit_modulus_and_cancellation(self):
-        _, _, fields, h_d, a_b = self._draw()
+    def test_unit_modulus_and_cancellation(self, paper_system):
+        _, fields, h_d, a_b = self._draw(paper_system)
         phases = optimal_phase_profile(fields, h_d, a_b)
         assert phases.shape == fields.shape
         assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
@@ -326,22 +319,22 @@ class TestPhaseProfile:
         aligned = phases * fields / np.abs(fields)
         assert np.max(np.abs(aligned - proj / np.abs(proj))) < 1e-9
 
-    def test_degenerate_projection_aligns_with_one(self):
-        _, _, fields, _, a_b = self._draw()
+    def test_degenerate_projection_aligns_with_one(self, paper_system):
+        _, fields, _, a_b = self._draw(paper_system)
         phases = optimal_phase_profile(fields, np.zeros((a_b.size, fields.shape[1])), a_b)
         assert np.max(np.abs(phases * fields / np.abs(fields) - 1.0)) < 1e-9
 
     def test_optimal_profile_reaches_expanded_snr(self, paper_system):
-        geom, grid, fields, h_d, a_b = self._draw()
-        system = dataclasses.replace(paper_system, geometry=geom)
+        oracle, fields, h_d, a_b = self._draw(paper_system)
+        system, grid = oracle.cfg, oracle.sampler.grid
         phases = optimal_phase_profile(fields, h_d, a_b)
         via_profile = snr_under_profile(fields, h_d, a_b, phases, system, grid)
         expanded = optimal_snr_sample(h_d, compute_Y(fields, grid), a_b, system)
         assert np.max(np.abs(via_profile - expanded) / expanded) <= 1e-10
 
     def test_dominates_random_profiles(self, paper_system, rng):
-        geom, grid, fields, h_d, a_b = self._draw()
-        system = dataclasses.replace(paper_system, geometry=geom)
+        oracle, fields, h_d, a_b = self._draw(paper_system)
+        system, grid = oracle.cfg, oracle.sampler.grid
         best = snr_under_profile(fields, h_d, a_b, optimal_phase_profile(fields, h_d, a_b),
                                  system, grid)
         for j in range(8):
@@ -470,16 +463,20 @@ class TestRunReplicates:
             paper_system, correlation=dataclasses.replace(paper_system.correlation, kind=kind))
         grid = make_grid(system.geometry, nx, ny)
         n, seed = 300, 8
-        y = run_replicates(system, grid, n, seed).y_samples
-        gains = derive_gains(system)
-        sampler = build_surface_covariance(system.geometry, grid, system.correlation,
-                                           gains.beta_ur)
-        direct = direct_factor(bs_correlation_matrix(system.array, system.bs_correlation),
-                               gains.beta_d)
-        expect = np.concatenate([
-            compute_Y(sample_field(sampler, draw_block(sampler, direct, seed, index)[0]), grid)
-            for index in range(2)])[:n]
+        oracle = Oracle.build(system, grid)
+        y = oracle.batch(n, seed).y_samples
+        expect = compute_Y(field_draws(oracle, n, seed), grid)
         assert np.max(np.abs(y - expect) / expect) <= 1e-13
+
+    def test_block_field_rows_do_not_depend_on_the_array(self, paper_system):
+        # a block's normals are one C-order draw whose field rows lead, and a
+        # C-order normal draw is a row prefix of a taller one
+        grid = make_grid(paper_system.geometry, 8, 8)
+        single = dataclasses.replace(paper_system, array=BsArrayConfig(m_x=1, m_z=1))
+        coeffs, h_d = Oracle.build(paper_system, grid).draw_block(42, 3)
+        alone, h_one = Oracle.build(single, grid).draw_block(42, 3)
+        assert h_d.shape == (32, 256) and h_one.shape == (1, 256)
+        assert np.array_equal(coeffs, alone)
 
     def test_replicate_loop_never_builds_the_field(self, paper_system):
         # the (n_points, 512) field of a 49x49 block alone is 9.6 MB, and the
@@ -498,6 +495,11 @@ class TestRunReplicates:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+    def test_summaries_need_two_replicates(self, paper_system):
+        batch = run_replicates(paper_system, make_grid(paper_system.geometry, 4, 4), 1, 0)
+        with pytest.raises(DomainError):
+            batch.summaries()
 
     def test_summaries_recomputable(self, paper_system, batches):
         batch = batches(paper_system, 8, 8, 4000)
