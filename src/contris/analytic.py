@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveVariance
-from .quadrature import QuadratureSpec, integrate_piecewise
+from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .specfun import gauss_2f1_half, reg_lower_gamma
 from .sysmodel import (
     IsotropicCorrelation,
@@ -195,10 +195,10 @@ def moment_m2_iso(
 ) -> float:
     """Second moment of Y for isotropic correlation, by 1-D quadrature.
 
-    Evaluates W^2 H^2 * integral of g(r) f_s(r) over the distance support,
-    split at the derivative kinks of the distance density, to the default
-    :class:`QuadratureSpec` tolerances.  Always at least m1^2 up to
-    quadrature error.
+    Evaluates W^2 H^2 * integral of g(r) f_s(r) over the distance support in
+    one adaptive run that starts from the distance density's kinks (H, W)
+    and meets the default :class:`QuadratureSpec` tolerance on the whole
+    integral.  Always at least m1^2 up to quadrature error.
     """
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
@@ -208,7 +208,7 @@ def moment_m2_iso(
     def integrand(r):
         return _hyper_kernel(model, beta_ur, r) * rect_distance_pdf(geom, r)
 
-    value = integrate_piecewise(integrand, [0.0, h, w, diag])
+    value, _ = adaptive_gauss_kronrod(integrand, [0.0, h, w, diag])
     return w * w * h * h * value
 
 

@@ -92,7 +92,7 @@ from .mcsim import (
     sample_field,
     snr_under_profile,
 )
-from .quadrature import QuadratureSpec, integrate_piecewise
+from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .sysmodel import (
     BsArrayConfig,
     CorrelationKind,
@@ -324,18 +324,16 @@ def load_config(document: dict | None) -> ExperimentConfig:
     grid = tuple(_value(grid_doc.get(axis, n), n, f"grid.{axis}")
                  for axis, n in zip(("nx", "ny"), base.grid))
 
-    sweep = base.sweep
-    if "sweep" in doc:
-        sweep_doc = _section(doc["sweep"], "sweep")
-        _check_keys(sweep_doc, {f.name for f in dataclasses.fields(SweepSpec)}, "sweep")
-        for key, values in sweep_doc.items():
-            if not isinstance(values, list):
-                raise ConfigError(f"sweep.{key} must be a JSON list")
-        # each list's entries take the type of the default list's entries
-        sweep = SweepSpec(**{
-            key: tuple(_value(v, getattr(base.sweep, key)[0], f"sweep.{key}[{i}]")
-                       for i, v in enumerate(values))
-            for key, values in sweep_doc.items()})
+    sweep_doc = _section(doc.get("sweep", {}), "sweep")
+    _check_keys(sweep_doc, {f.name for f in dataclasses.fields(SweepSpec)}, "sweep")
+    for key, values in sweep_doc.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep.{key} must be a JSON list")
+    # each list's entries take the type of the default list's entries
+    sweep = dataclasses.replace(base.sweep, **{
+        key: tuple(_value(v, getattr(base.sweep, key)[0], f"sweep.{key}[{i}]")
+                   for i, v in enumerate(values))
+        for key, values in sweep_doc.items()})
 
     changes = {key: _value(doc[key], getattr(base, key), key)
                for key in ("replicates", "seed") if key in doc}
@@ -557,10 +555,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     record("m2_iso_vs_quad4_rel", m2_cross, 1e-4)
 
     def fs_norm():
-        total = integrate_piecewise(
+        total, _ = adaptive_gauss_kronrod(
             lambda r: rect_distance_pdf(geom, r),
             [0.0, *geom.canonical()[::-1], geom.diagonal_m],
-            QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+            QuadratureSpec(rel_tol=1e-12))
         return abs(total - 1.0)
 
     record("distance_pdf_normalization", fs_norm, 1e-10)

@@ -30,7 +30,7 @@ from contris.analytic import (
 )
 from contris.cli import default_system
 from contris.errors import DomainError, NonPositiveVariance
-from contris.quadrature import QuadratureSpec, integrate_piecewise
+from contris.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from contris.specfun import gauss_2f1_half
 from contris.sysmodel import (
     CorrelationKind,
@@ -102,18 +102,18 @@ class TestRectDistancePdf:
     def test_normalization(self):
         geom = SurfaceGeometry(1.3, 0.7)
         w, h = geom.canonical()
-        total = integrate_piecewise(
+        total, _ = adaptive_gauss_kronrod(
             lambda r: rect_distance_pdf(geom, r),
             [0.0, h, w, geom.diagonal_m],
-            QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+            QuadratureSpec(rel_tol=1e-12))
         assert abs(total - 1.0) < 1e-10
 
     def test_unit_square_mean_separation(self):
         geom = SurfaceGeometry(1.0, 1.0)
-        mean = integrate_piecewise(
+        mean, _ = adaptive_gauss_kronrod(
             lambda r: r * rect_distance_pdf(geom, r),
             [0.0, 1.0, math.sqrt(2.0)],
-            QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+            QuadratureSpec(rel_tol=1e-12))
         assert mean == pytest.approx(UNIT_SQUARE_MEAN_SEPARATION, rel=1e-10)
 
     def test_continuous_at_breakpoints(self):

@@ -85,6 +85,10 @@ def shaped(schema):
         {}, optional={key: shaped(sub) for key, sub in schema.items()})
 
 
+# a sweep document whose lists are all given and all empty
+EMPTY_SWEEP = dict.fromkeys((f.name for f in dataclasses.fields(SweepSpec)), [])
+
+
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(system=default_system(), grid=(8, 8), replicates=150,
                 seed=99, sweep=default_sweep(), output_path=None)
@@ -131,7 +135,7 @@ class TestLoadConfig:
 
     def test_sweep_validation(self):
         with pytest.raises(ConfigError):
-            load_config({"sweep": {}})
+            load_config({"sweep": EMPTY_SWEEP})
         with pytest.raises(ConfigError):
             load_config({"sweep": {"setups": ["D"]}})
 
@@ -141,6 +145,9 @@ class TestLoadConfig:
         assert cfg.system.link == dataclasses.replace(LinkBudget(), d_x_m=20.0)
         assert cfg.system.array.m_x == 4 and isinstance(cfg.system.array.m_x, int)
         assert cfg.system.geometry == default_system().geometry
+        assert load_config({"sweep": {}}).sweep == default_sweep()
+        sweep = load_config({"sweep": {"areas_m2": [0.2]}}).sweep
+        assert sweep == dataclasses.replace(default_sweep(), areas_m2=(0.2,))
 
     @pytest.mark.parametrize("overrides", [
         {"replicates": 1.5}, {"replicates": 0}, {"seed": 2.0}, {"seed": -1},
@@ -284,14 +291,19 @@ class TestScenarios:
 
 class TestValidate:
     def test_default_passes(self):
-        report = validate(tiny_config(replicates=400))
-        assert report.all_passed
-        names = {c.name for c in report.checks}
-        assert {"m2_iso_vs_quad4_rel", "distance_pdf_normalization",
-                "mean_y_exactness_z", "jensen_dominance_slack",
-                "gamma_fit_round_trip_rel", "snr_expansion_identity_rel"} <= names
-        for check in report.checks:
-            json.dumps(dataclasses.asdict(check))
+        # the default square, and a 50:1 strip of its area: the strip's last
+        # distance-density interval holds a tiny share of the m2 integral,
+        # which a per-interval tolerance cannot resolve
+        for aspect in (1.0, 50.0):
+            system = cli._point(default_system(), area=0.4, aspect=aspect)
+            report = validate(tiny_config(system=system, replicates=400))
+            assert report.all_passed, aspect
+            names = {c.name for c in report.checks}
+            assert {"m2_iso_vs_quad4_rel", "distance_pdf_normalization",
+                    "mean_y_exactness_z", "jensen_dominance_slack",
+                    "gamma_fit_round_trip_rel", "snr_expansion_identity_rel"} <= names
+            for check in report.checks:
+                json.dumps(dataclasses.asdict(check))
 
     def test_identity_check_reads_the_replicate_loop(self, monkeypatch):
         # the check compares the batch's own SNR samples with the norm form,
@@ -397,7 +409,7 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"sweep\": {}}")
+        bad.write_text(json.dumps({"sweep": EMPTY_SWEEP}))
         assert cli.main(["--config", str(bad), "--scenario", "table1",
                          "--out", "x.csv"]) == 2
         assert cli.main(["--scenario", "table1"]) == 2  # no output path
