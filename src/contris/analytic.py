@@ -146,10 +146,12 @@ def rect_distance_pdf(geom: SurfaceGeometry, r):
 
     Piecewise on [0, H), [H, W), [W, sqrt(W^2 + H^2)] with the long/short
     sides taken in canonical order; zero outside the support; continuous at
-    the breakpoints.  Vectorized in r.
+    the breakpoints.  Vectorized in r; raises :class:`DomainError` for NaN.
     """
     w, h = geom.canonical()
     arr = np.asarray(r, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("r must not be NaN")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.zeros(arr.shape)

@@ -31,11 +31,13 @@ exponents)::
     }
 
 Every default is stated once, in ``default_system()``, ``default_sweep()``
-and the field defaults of :class:`ExperimentConfig`; ``load_config``
-replaces only the fields a document gives.  Each value takes the type of
-the default it replaces (a finite float, an integral int or a string), and
-gain-like fields accept either a linear key or a ``_db`` twin.  Any
-malformed document raises :class:`ConfigError`.
+and the field defaults of :class:`ExperimentConfig`.  One walk over the
+dataclass tree, ``_merge``, reads a document and replaces only the fields it
+gives; ``config_to_dict`` writes a config back as such a document.  Each
+value takes the type of the default it replaces (a finite float, an
+integral int or a string; a list's entries take the type of the default
+list's), and gain-like fields accept either a linear key or a ``_db`` twin.
+Any malformed document raises :class:`ConfigError`.
 
 Each scenario is a spec in ``_SCENARIOS``: its sweep axes, outermost first,
 any values held fixed, the Monte Carlo seed salt, its columns and a row
@@ -48,7 +50,8 @@ function.  One loop runs a spec over the product of its axes:
 * ``table1`` bound vs dominant-error-term summary over kappa
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error (a
-malformed config, or a configured model outside the library's domain).
+malformed config, or a configured model outside the library's domain or the
+floating-point range).
 """
 
 from __future__ import annotations
@@ -207,6 +210,8 @@ class ValidationReport:
 
 # fields that a document may also give in decibels, as <name>_db
 _GAINS = {"c0", "transmit_snr"}
+# the keys of a grid section, in the order of ExperimentConfig.grid
+_GRID_AXES = ("nx", "ny")
 
 
 def _db_to_linear(db: float) -> float:
@@ -229,9 +234,9 @@ def _section(value, where: str) -> dict:
 
 
 def _value(value, like, where: str):
-    """``value`` as the type of ``like``: a string, an integral int or a
-    finite float."""
-    if isinstance(like, str):
+    """``value`` as the type of ``like``: a string (also where ``like`` is
+    None), an integral int or a finite float."""
+    if like is None or isinstance(like, str):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
         return value
@@ -250,19 +255,23 @@ def _value(value, like, where: str):
     return value
 
 
-def _merge(obj, doc, where: str):
-    """``obj`` with the fields that ``doc`` gives replaced.
+def _merge(obj, doc, where: str | None = None):
+    """``obj`` with the fields that ``doc`` gives replaced; ``where`` is the
+    section's path, None at the top level.
 
     Nested dataclasses merge section by section, enums parse from their
-    value and every other field goes through :func:`_value`.
+    value, a tuple takes a JSON list whose entries are typed like the
+    default's first entry, and every other field goes through :func:`_value`.
     """
-    section = _section(doc, where)
+    label = where or "top level"
+    section = _section(doc, label)
     # the wavelength comes from system.carrier_hz or system.wavelength_m
     names = {f.name for f in dataclasses.fields(obj)} - {"wavelength_m"}
-    _check_keys(section, names | {f"{name}_db" for name in names & _GAINS}, where)
+    _check_keys(section, names | {f"{name}_db" for name in names & _GAINS}, label)
     changes = {}
     for key, value in section.items():
-        name, at = key.removesuffix("_db"), f"{where}.{key}"
+        at = f"{where}.{key}" if where else key
+        name = key.removesuffix("_db") if key.removesuffix("_db") in _GAINS else key
         if name in changes:
             raise ConfigError(f"give either {name} or {name}_db, not both")
         current = getattr(obj, name)
@@ -274,28 +283,33 @@ def _merge(obj, doc, where: str):
             except ValueError:
                 choices = [member.value for member in type(current)]
                 raise ConfigError(f"{at} must be one of {choices}, got {value!r}") from None
+        elif isinstance(current, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"{at} must be a JSON list")
+            changes[name] = tuple(_value(v, current[0], f"{at}[{i}]")
+                                  for i, v in enumerate(value))
         else:
             number = _value(value, current, at)
             changes[name] = number if name == key else _db_to_linear(number)
     try:
         return dataclasses.replace(obj, **changes)
     except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{label}: {exc}") from None
 
 
-def _wavelength(sys_doc: dict, default: float) -> float:
+def _wavelength(sys_doc: dict) -> float:
     """The wavelength given by ``carrier_hz`` or ``wavelength_m``, popped
     from the system section."""
     if "carrier_hz" in sys_doc and "wavelength_m" in sys_doc:
         raise ConfigError("give either carrier_hz or wavelength_m, not both")
-    if "carrier_hz" in sys_doc:
-        carrier = _value(sys_doc.pop("carrier_hz"), DEFAULT_CARRIER_HZ, "system.carrier_hz")
+    if "wavelength_m" in sys_doc:
+        wavelength = _value(sys_doc.pop("wavelength_m"), 1.0, "system.wavelength_m")
+    else:
+        carrier = _value(sys_doc.pop("carrier_hz", DEFAULT_CARRIER_HZ), DEFAULT_CARRIER_HZ,
+                         "system.carrier_hz")
         if not carrier > 0.0:
             raise ConfigError("system.carrier_hz must be positive")
         wavelength = SPEED_OF_LIGHT / carrier
-    else:
-        wavelength = _value(sys_doc.pop("wavelength_m", default), default,
-                            "system.wavelength_m")
     if not 0.0 < wavelength < math.inf:
         raise ConfigError("the wavelength must be positive and finite")
     return wavelength
@@ -307,61 +321,42 @@ def load_config(document: dict | None) -> ExperimentConfig:
     Starts from the defaults and replaces only what the document gives;
     raises :class:`ConfigError` on any malformed document.
     """
-    doc = _section({} if document is None else document, "config")
-    base = ExperimentConfig()
-    _check_keys(doc, {f.name for f in dataclasses.fields(base)}, "top level")
-
+    doc = dict(_section({} if document is None else document, "config"))
     sys_doc = dict(_section(doc.get("system", {}), "system"))
-    wavelength = _wavelength(sys_doc, base.system.correlation.wavelength_m)
+    wavelength = _wavelength(sys_doc)
     if "correlation" in sys_doc:
         # the array's correlation follows the surface's unless given
         sys_doc.setdefault("bs_correlation", sys_doc["correlation"])
-    system = _merge(_with_correlation(base.system, wavelength_m=wavelength),
-                    sys_doc, "system")
-
-    grid_doc = _section(doc.get("grid", {}), "grid")
-    _check_keys(grid_doc, {"nx", "ny"}, "grid")
+    grid_doc = _section(doc.pop("grid", {}), "grid")
+    _check_keys(grid_doc, set(_GRID_AXES), "grid")
     grid = tuple(_value(grid_doc.get(axis, n), n, f"grid.{axis}")
-                 for axis, n in zip(("nx", "ny"), base.grid))
-
-    sweep_doc = _section(doc.get("sweep", {}), "sweep")
-    _check_keys(sweep_doc, {f.name for f in dataclasses.fields(SweepSpec)}, "sweep")
-    for key, values in sweep_doc.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep.{key} must be a JSON list")
-    # each list's entries take the type of the default list's entries
-    sweep = dataclasses.replace(base.sweep, **{
-        key: tuple(_value(v, getattr(base.sweep, key)[0], f"sweep.{key}[{i}]")
-                   for i, v in enumerate(values))
-        for key, values in sweep_doc.items()})
-
-    changes = {key: _value(doc[key], getattr(base, key), key)
-               for key in ("replicates", "seed") if key in doc}
-    if doc.get("output_path") is not None:
-        changes["output_path"] = _value(doc["output_path"], "", "output_path")
-    return dataclasses.replace(base, system=system, grid=grid, sweep=sweep, **changes)
+                 for axis, n in zip(_GRID_AXES, ExperimentConfig.grid))
+    if doc.get("output_path") is None:  # null keeps the default
+        doc.pop("output_path", None)
+    base = ExperimentConfig(
+        system=_with_correlation(default_system(), wavelength_m=wavelength), grid=grid)
+    return _merge(base, {**doc, "system": sys_doc})
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved configuration as plain JSON-serializable types."""
-    s = cfg.system
-    return {
-        "system": {
-            "geometry": {"width_m": s.geometry.width_m, "height_m": s.geometry.height_m},
-            "wavelength_m": s.correlation.wavelength_m,
-            "correlation": {"kind": s.correlation.kind.value, "kappa": s.correlation.kappa},
-            "bs_correlation": {"kind": s.bs_correlation.kind.value,
-                               "kappa": s.bs_correlation.kappa},
-            "link": dataclasses.asdict(s.link),
-            "array": dataclasses.asdict(s.array),
-            "transmit_snr": s.transmit_snr,
-        },
-        "grid": {"nx": cfg.grid[0], "ny": cfg.grid[1]},
-        "replicates": cfg.replicates,
-        "seed": cfg.seed,
-        "sweep": dataclasses.asdict(cfg.sweep),
-        "output_path": cfg.output_path,
-    }
+def config_to_dict(value):
+    """A config as the JSON document that :func:`load_config` reads back.
+
+    Walks the dataclass tree and writes enums by value; the wavelength that
+    both correlation models carry goes once to ``system.wavelength_m``, and
+    the grid goes as ``{nx, ny}``.
+    """
+    if isinstance(value, enum.Enum):
+        return value.value
+    if not dataclasses.is_dataclass(value):
+        return value
+    doc = {f.name: config_to_dict(getattr(value, f.name))
+           for f in dataclasses.fields(value)}
+    if isinstance(value, SystemConfig):
+        doc["wavelength_m"] = doc["correlation"].pop("wavelength_m")
+        del doc["bs_correlation"]["wavelength_m"]
+    if isinstance(value, ExperimentConfig):
+        doc["grid"] = dict(zip(_GRID_AXES, value.grid))
+    return doc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -669,17 +664,10 @@ def main(argv=None) -> int:
             except ValueError as exc:  # also bad UTF-8 and over-long integers
                 raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = load_config(document)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.replicates is not None:
-            overrides["replicates"] = args.replicates
-        if args.grid is not None:
-            overrides["grid"] = _parse_grid(args.grid)
-        if args.out is not None:
-            overrides["output_path"] = args.out
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        overrides = {"seed": args.seed, "replicates": args.replicates, "output_path": args.out,
+                     "grid": None if args.grid is None else _parse_grid(args.grid)}
+        cfg = dataclasses.replace(cfg, **{key: value for key, value in overrides.items()
+                                          if value is not None})
 
         if args.validate:
             report = validate(cfg)
@@ -698,10 +686,11 @@ def main(argv=None) -> int:
         emit(table, cfg.output_path)
         print(f"wrote {len(table.rows)} rows to {cfg.output_path}")
         return 0
-    except ContrisError as exc:
+    except (ContrisError, ArithmeticError) as exc:
         # every library error names a malformed config or a configured model
-        # outside the library's domain
-        print(f"config error: {exc}", file=sys.stderr)
+        # outside the library's domain; so does a number out of float range
+        reason = "" if isinstance(exc, ContrisError) else "out of floating-point range: "
+        print(f"config error: {reason}{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -411,7 +411,7 @@ def optimal_snr_sample(h_d: np.ndarray, y, a_b: np.ndarray, cfg: SystemConfig):
     :func:`snr_under_profile` under :func:`optimal_phase_profile` up to
     roundoff.
     """
-    if np.min(y) < 0.0:
+    if not np.all(y >= 0.0):  # also NaN
         raise DomainError("Y must be >= 0")
     beta_rb = derive_gains(cfg).beta_rb
     hd_power = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
@@ -580,10 +580,10 @@ class EmpiricalCdf:
     """Right-continuous empirical CDF of a sample."""
 
     def __init__(self, samples: np.ndarray):
-        if samples.size == 0:
-            raise DomainError("empirical CDF needs at least one sample")
         self.sorted = np.sort(np.asarray(samples, dtype=float))
         self.n = self.sorted.size
+        if self.n == 0 or np.isnan(self.sorted[-1]):  # NaN sorts last
+            raise DomainError("empirical CDF needs at least one sample, and no NaN")
 
     def __call__(self, x):
         idx = np.searchsorted(self.sorted, np.asarray(x, dtype=float), side="right")

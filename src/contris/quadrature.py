@@ -105,10 +105,13 @@ def adaptive_gauss_kronrod(
     breakpoints (duplicate or inverted ones are skipped) and refines them all
     against one target, ``spec.rel_tol * |total|``, so an interval holding a
     tiny share of the integral is not asked for more than roundoff allows.
-    Returns ``(value, error_estimate)``; raises :class:`QuadratureFailure`
-    when the target cannot be met within ``_MAX_SEGMENTS`` segments.
+    Returns ``(value, error_estimate)``; raises :class:`DomainError` for a
+    non-finite breakpoint, and :class:`QuadratureFailure` when the target
+    cannot be met within ``_MAX_SEGMENTS`` segments.
     """
     edges = np.asarray(breakpoints, dtype=float)
+    if not np.isfinite(edges).all():
+        raise DomainError("breakpoints must be finite")
     keep = edges[1:] > edges[:-1]
     if not keep.any():
         return 0.0, 0.0

@@ -33,10 +33,7 @@ __all__ = [
     "LinkBudget",
     "BsArrayConfig",
     "SystemConfig",
-    "LinkDistances",
     "ChannelGains",
-    "derive_link_distances",
-    "path_loss_gain",
     "steering_vector",
     "bs_correlation_matrix",
     "derive_gains",
@@ -189,33 +186,10 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class LinkDistances:
-    d_d: float
-    d_ur: float
-    d_rb: float
-
-
-@dataclass(frozen=True)
 class ChannelGains:
     beta_d: float
     beta_rb: float
     beta_ur: float
-
-
-def derive_link_distances(link: LinkBudget) -> LinkDistances:
-    """Direct and surface-terminal distances implied by the layout."""
-    d_d = math.hypot(link.d_x_m, link.d_y_m)
-    d_ur = math.hypot(link.d_rb_m - link.d_x_m, link.d_y_m)
-    if d_d == 0.0 or d_ur == 0.0:
-        raise DegenerateGeometry("terminal coincides with BS or surface")
-    return LinkDistances(d_d=d_d, d_ur=d_ur, d_rb=link.d_rb_m)
-
-
-def path_loss_gain(c0: float, d0_m: float, d_m: float, alpha: float) -> float:
-    """Linear gain c0 * (d / d0)^(-alpha); equals c0 at the reference distance."""
-    if d_m <= 0.0:
-        raise DegenerateGeometry("path loss undefined for nonpositive distance")
-    return c0 * (d_m / d0_m) ** (-alpha)
 
 
 def _element_positions_wavelengths(array: BsArrayConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -298,11 +272,19 @@ def bs_correlation_matrix(array: BsArrayConfig, model: IsotropicCorrelation) -> 
 
 
 def derive_gains(cfg: SystemConfig) -> ChannelGains:
-    """Per-link gains from the layout distances and matching exponents."""
-    dist = derive_link_distances(cfg.link)
+    """Per-link gains c0 * (d / d0)^(-alpha) for the direct, surface-BS and
+    terminal-surface distances of the layout, each with its own exponent."""
     link = cfg.link
-    return ChannelGains(
-        beta_d=path_loss_gain(link.c0, link.d0_m, dist.d_d, link.alpha_d),
-        beta_rb=path_loss_gain(link.c0, link.d0_m, dist.d_rb, link.alpha_rb),
-        beta_ur=path_loss_gain(link.c0, link.d0_m, dist.d_ur, link.alpha_ur),
-    )
+    distances = (math.hypot(link.d_x_m, link.d_y_m), link.d_rb_m,
+                 math.hypot(link.d_rb_m - link.d_x_m, link.d_y_m))
+    if 0.0 in distances:
+        raise DegenerateGeometry("the terminal, BS and surface must not coincide")
+    alphas = (link.alpha_d, link.alpha_rb, link.alpha_ur)
+    try:
+        gains = [link.c0 * (d / link.d0_m) ** (-alpha)
+                 for d, alpha in zip(distances, alphas)]
+    except OverflowError:  # the power alone leaves the floating-point range
+        gains = [math.inf]
+    if math.inf in gains:
+        raise DegenerateGeometry("a path gain overflows: a link far below d0_m or a huge c0")
+    return ChannelGains(*gains)

@@ -432,9 +432,10 @@ class TestBoundAndHardening:
     lambda: dominant_error_term(math.nan, 1.0),
     lambda: dominant_error_term(1.0, math.nan),
     lambda: dominant_error_term(1.0, math.inf),
+    lambda: rect_distance_pdf(SurfaceGeometry(1.0, 1.0), math.nan),
 ], ids=["gamma_alpha_inf", "snr_moments_inf", "snr_mu2_nan", "m1_beta_inf",
         "m2_iso_beta_inf", "m2_quad4_beta_inf", "se_bound_nan", "se_bound_inf",
-        "cv2_mu2_nan", "det_mu1_nan", "det_mu2_nan", "det_mu2_inf"])
+        "cv2_mu2_nan", "det_mu1_nan", "det_mu2_nan", "det_mu2_inf", "distance_pdf_nan"])
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(DomainError):
         call()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from contris.cli import (
     ResultTable,
     SweepSpec,
     config_hash,
+    config_to_dict,
     default_sweep,
     default_system,
     emit,
@@ -45,6 +47,12 @@ BAD_DOCUMENTS = [
     {"sweep": {"areas_m2": [-0.1]}},
     # well formed, but the terminal sits on the surface: fails at run time
     {"system": {"link": {"d_rb_m": 30.0, "d_x_m": 30.0, "d_y_m": 0.0}}},
+    # well formed, but the model leaves the floating-point range at run time
+    {"system": {"link": {"d_x_m": 1e-200, "d_y_m": 0.0}}},
+    {"system": {"transmit_snr": 1e300}},
+    {"system": {"link": {"c0": 1e300}}},
+    {"system": {"transmit_snr": 1e-300}},
+    {"system": {"geometry": {"width_m": 1e-150, "height_m": 1e-150}}},
 ]
 
 _GEOMETRY = dict.fromkeys(["width_m", "height_m"])
@@ -84,6 +92,26 @@ def shaped(schema):
     return JSON_VALUES | st.fixed_dictionaries(
         {}, optional={key: shaped(sub) for key, sub in schema.items()})
 
+
+# a document that sets a field of every section
+FULL_DOCUMENT = {
+    "system": {
+        "geometry": {"width_m": 0.5, "height_m": 0.2}, "carrier_hz": 2.4e9,
+        "correlation": {"kind": "sinc", "kappa": 0.5},
+        "bs_correlation": {"kind": "JAKES", "kappa": 2.0},
+        "link": {"c0_db": -20.0, "d0_m": 2.0, "alpha_d": 3.0, "alpha_rb": 2.0,
+                 "alpha_ur": 2.2, "d_rb_m": 10.0, "d_x_m": 12.0, "d_y_m": 2.0},
+        "array": {"m_x": 4, "m_z": 2.0, "spacing_wavelengths": 0.4,
+                  "theta_a_rad": 1.2, "phi_a_rad": -0.3},
+        "transmit_snr_db": 100.0,
+    },
+    "grid": {"nx": 16, "ny": 8},
+    "replicates": 500,
+    "seed": 5,
+    "sweep": {"areas_m2": [0.2], "kappas": [0.5, 2], "aspects": [3.0],
+              "thresholds_db": [10.0, 15.5], "setups": ["C", "custom"]},
+    "output_path": "out.csv",
+}
 
 # a sweep document whose lists are all given and all empty
 EMPTY_SWEEP = dict.fromkeys((f.name for f in dataclasses.fields(SweepSpec)), [])
@@ -172,6 +200,42 @@ class TestLoadConfig:
         assert config_hash(a) == config_hash(b)
         c = load_config({"seed": 7})
         assert config_hash(a) != config_hash(c)
+
+    def test_default_hash_frozen(self):
+        # every CSV header carries this hash of the default config
+        assert config_hash(load_config(None)) == (
+            "b0eeb847febe75ec74ba418e06e6aa7d75c5279980297de3f92525cec94e0f52")
+
+    @pytest.mark.parametrize("document", [None, FULL_DOCUMENT], ids=["default", "full"])
+    def test_written_config_reads_back(self, document):
+        cfg = load_config(document)
+        assert load_config(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_every_leaf_reaches_the_hash(self):
+        doc = json.loads(json.dumps(config_to_dict(load_config(None))))
+        base = config_hash(load_config(doc))
+
+        def leaves(node, path=()):
+            if isinstance(node, (dict, list)):
+                for key, child in (node.items() if isinstance(node, dict)
+                                   else enumerate(node)):
+                    yield from leaves(child, path + (key,))
+            else:
+                yield path, node
+
+        for path, value in leaves(doc):
+            if path == ("output_path",):  # the destination does not shape the numbers
+                continue
+            edited = json.loads(json.dumps(doc))
+            *parents, last = path
+            section = functools.reduce(lambda node, key: node[key], parents, edited)
+            if isinstance(value, str):
+                section[last] = {"jakes": "sinc"}.get(value, "custom")
+            else:
+                section[last] = value + 1
+            assert config_hash(load_config(edited)) != base, path
+        edited = dict(doc, output_path="elsewhere.csv")
+        assert config_hash(load_config(edited)) == base
 
 
 class TestEmit(object):

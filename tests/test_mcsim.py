@@ -560,7 +560,11 @@ class TestEmpiricalCdf:
     lambda system: optimal_snr_sample(
         np.zeros((32, 2), dtype=complex), np.array([1e-4, -1e-4]),
         steering_vector(system.array), system),
-], ids=["beta_ur_inf", "block_with_negative_y"])
+    lambda system: optimal_snr_sample(
+        np.zeros((32, 2), dtype=complex), np.array([1e-4, math.nan]),
+        steering_vector(system.array), system),
+    lambda system: EmpiricalCdf(np.array([1.0, math.nan, 2.0])),
+], ids=["beta_ur_inf", "block_with_negative_y", "block_with_nan_y", "ecdf_nan"])
 def test_out_of_domain_inputs_rejected(paper_system, call):
     with pytest.raises(DomainError):
         call(paper_system)

@@ -47,6 +47,14 @@ class TestAdaptiveGaussKronrod:
         value, _ = adaptive_gauss_kronrod(np.cos, [0.0, 0.7, 0.7, 1.0])
         assert value == pytest.approx(math.sin(1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("breakpoints", [
+        [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, math.inf],
+    ], ids=["nan_inside", "nan_last", "inf_last"])
+    def test_non_finite_breakpoint_rejected(self, breakpoints):
+        # a NaN edge fails both comparisons, so its intervals would be skipped
+        with pytest.raises(DomainError):
+            adaptive_gauss_kronrod(np.cos, breakpoints)
+
 
 class TestQuadratureSpec:
     def test_defaults(self):

@@ -17,8 +17,6 @@ from contris.sysmodel import (
     bs_correlation_matrix,
     clip_spectrum,
     derive_gains,
-    derive_link_distances,
-    path_loss_gain,
     psd_repair,
     steering_vector,
 )
@@ -56,24 +54,35 @@ class TestSurfaceGeometry:
             SurfaceGeometry(w, h)
 
 
+def gains_of(**link):
+    """``derive_gains`` of the default system under the given link fields."""
+    return derive_gains(dataclasses.replace(default_system(), link=LinkBudget(**link)))
+
+
+# unit exponents and c0 = d0 = 1 make each gain 1/d, so the gains read back
+# the layout distances
+UNIT_LAW = dict(c0=1.0, d0_m=1.0, alpha_d=1.0, alpha_rb=1.0, alpha_ur=1.0)
+
+
 class TestLinkDistances:
+    """The distances that ``derive_gains`` takes from the layout."""
+
     def test_pythagorean_triangle(self):
-        link = LinkBudget(d_rb_m=4.0, d_x_m=0.0, d_y_m=3.0)
-        dist = derive_link_distances(link)
-        assert dist.d_d == pytest.approx(3.0)
-        assert dist.d_ur == pytest.approx(5.0)
-        assert dist.d_rb == 4.0
+        gains = gains_of(d_rb_m=4.0, d_x_m=0.0, d_y_m=3.0, **UNIT_LAW)
+        assert 1.0 / gains.beta_d == pytest.approx(3.0)
+        assert 1.0 / gains.beta_ur == pytest.approx(5.0)
+        assert gains.beta_rb == 0.25
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            derive_link_distances(LinkBudget(d_rb_m=5.0, d_x_m=5.0, d_y_m=0.0))
+            gains_of(d_rb_m=5.0, d_x_m=5.0, d_y_m=0.0)
         with pytest.raises(DegenerateGeometry):
-            derive_link_distances(LinkBudget(d_rb_m=5.0, d_x_m=0.0, d_y_m=0.0))
+            gains_of(d_rb_m=5.0, d_x_m=0.0, d_y_m=0.0)
 
     def test_default_layout(self):
-        dist = derive_link_distances(LinkBudget())
-        assert dist.d_d == pytest.approx(D_D_DEFAULT, rel=1e-12)
-        assert dist.d_ur == pytest.approx(D_UR_DEFAULT, rel=1e-12)
+        gains = gains_of(**UNIT_LAW)
+        assert 1.0 / gains.beta_d == pytest.approx(D_D_DEFAULT, rel=1e-12)
+        assert 1.0 / gains.beta_ur == pytest.approx(D_UR_DEFAULT, rel=1e-12)
 
 
 class TestLinkBudget:
@@ -92,26 +101,38 @@ class TestLinkBudget:
 
 
 class TestPathLoss:
+    """The law c0 * (d / d0)^(-alpha) that ``derive_gains`` applies per link."""
+
     def test_reference_distance(self):
-        assert path_loss_gain(1e-3, 1.0, 1.0, 6.0) == pytest.approx(1e-3)
+        # the direct link is 1 m long, the reference distance
+        gains = gains_of(c0=1e-3, alpha_d=6.0, d_x_m=0.0, d_y_m=1.0)
+        assert gains.beta_d == pytest.approx(1e-3)
 
     def test_power_of_ten(self):
-        assert path_loss_gain(1e-3, 1.0, 10.0, 2.0) == pytest.approx(1e-5)
+        assert gains_of(c0=1e-3, alpha_rb=2.0, d_rb_m=10.0).beta_rb == pytest.approx(1e-5)
 
     def test_surface_terminal_gain(self):
         # frozen high-precision evaluation at d = 25.0200 m
-        assert path_loss_gain(1e-3, 1.0, 25.0200, 1.7) == pytest.approx(
+        assert gains_of(c0=1e-3, alpha_rb=1.7, d_rb_m=25.0200).beta_rb == pytest.approx(
             4.19673532901e-6, rel=1e-10)
 
     def test_nonpositive_distance(self):
         with pytest.raises(DegenerateGeometry):
-            path_loss_gain(1e-3, 1.0, 0.0, 2.0)
+            gains_of(d_rb_m=0.0)
+
+    def test_overflow_rejected(self):
+        # (1e-200)^(-6) leaves the floating-point range, and so does
+        # 1e308 * 0.5^(-1.7) although the power does not
+        with pytest.raises(DegenerateGeometry, match="overflows"):
+            gains_of(d_x_m=1e-200, d_y_m=0.0)
+        with pytest.raises(DegenerateGeometry, match="overflows"):
+            gains_of(c0=1e308, d_rb_m=0.5)
 
     @given(st.floats(0.1, 100), st.floats(0.1, 100))
     def test_strictly_decreasing(self, d1, d2):
         lo, hi = sorted([d1, d2])
         if hi > lo * (1 + 1e-12):
-            assert path_loss_gain(1e-3, 1.0, hi, 1.7) < path_loss_gain(1e-3, 1.0, lo, 1.7)
+            assert gains_of(d_rb_m=hi).beta_rb < gains_of(d_rb_m=lo).beta_rb
 
 
 class TestCorrelationAt:
