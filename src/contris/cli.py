@@ -481,8 +481,9 @@ _SCENARIOS = {
         rows=_fig4_rows,
         columns=("area", "aspect", "model", "snr_threshold_db",
                  "outage_gamma", "outage_empirical")),
+    # setup innermost: the layouts of one (area, kappa) share a surface factor
     "fig5": _Scenario(
-        axes=("setup", "area", "kappa"), fixed=(("model", CorrelationKind.SINC),),
+        axes=("area", "kappa", "setup"), fixed=(("model", CorrelationKind.SINC),),
         salt=5, rows=_fig5_rows,
         columns=("area", "kappa", "setup", "cv2_analytic", "cv2_mc")),
     "table1": _Scenario(

@@ -11,13 +11,23 @@ blocks, which are built and factorized separately.  The replicate loop
 sums Y from the four blocks' parts of the field over a few mirror rows at
 a time and never builds the field on the whole grid.
 
+The unit-power surface factor depends only on (geometry, grid, model):
+beta_ur scales it, so the last one built is kept read-only, and the next
+call with the same key reuses it; sqrt(beta_ur) is applied where the factor
+is used.  Its rank is cut by tail mass: the smallest eigenvalues whose sum
+is at most 1e-12 of the spectrum's total are dropped.
+
 Every sample is drawn by :meth:`Oracle.draw_block`, one fixed block of
 256 replicates at a time, and every per-draw function takes column blocks.
 
-Determinism contract: block b draws from its own stream seeded by
-(master seed, b), so results are a pure function of (seed, config, grid,
-n) and the first k samples of a longer run equal a shorter run's.  Reruns
-are bit-identical at a fixed BLAS thread count; another thread count moves
+Determinism contract: in block b, parity block k of the field draws from
+its own substream seeded by (master seed, b, k) and the direct channel
+from (master seed, b, 4), so results are a pure function of (seed, config,
+grid, n) and the first k samples of a longer run equal a shorter run's.
+Each block's factor columns run in descending eigenvalue order, so a rank
+change only adds or drops a trailing column with its own normals, and
+moves the samples by about sqrt(lambda_cut), not by a redraw.  Reruns are
+bit-identical at a fixed BLAS thread count; another thread count moves
 the samples by roundoff.
 """
 
@@ -63,12 +73,15 @@ __all__ = [
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# eigenvalues below this fraction of the largest carry only roundoff noise;
-# dropping them keeps the factor rank small without moving the covariance
-# beyond the 1e-10 reconstruction contract
-_RANK_TRUNCATION = 1e-13
+# the smallest eigenvalues whose sum is at most this fraction of the
+# spectrum's total carry only roundoff noise; dropping them keeps the factor
+# rank small without moving the covariance beyond the 1e-10 reconstruction
+# contract
+_TAIL_MASS = 1e-12
 
 _CLIPPED_MASS_LIMIT = 1e-6
+
+_SNR_OVERFLOW = "transmit_snr times the path gains leaves the floating-point range"
 
 # field values that FieldSampler.abs_sums unfolds at a time, 0.5 MB
 _CHUNK = 1 << 16
@@ -177,28 +190,31 @@ def surface_blocks(
 class FieldSampler:
     """Factorized covariance of the surface field on a grid.
 
-    ``blocks`` holds one real factor per block of :func:`surface_blocks`,
-    in its order.  Block k's factor maps its coefficients to the field's
-    parity part k at the representative cells (the lower quarter of the
-    grid), with the basis weights and the unit row-power scaling in its
-    rows.  :meth:`apply` unfolds the four parts onto the whole grid, and
+    ``blocks`` holds one real unit-power factor per block of
+    :func:`surface_blocks`, in its order, read-only and shared with the
+    next sampler of the same (geometry, grid, model).  Block k's factor maps
+    its coefficients to the field's parity part k at the representative cells
+    (the lower quarter of the grid), with the basis weights and the unit
+    row-power scaling in its rows and its columns by descending eigenvalue.
+    :meth:`apply` unfolds the four parts onto the whole grid, and
     :meth:`abs_sums` sums the field's magnitude over the grid chunk by
-    chunk without building it.  The dense factor ``apply(np.eye(rank))``
-    satisfies factor @ factor^T ~= beta_ur * Sigma with exact per-point
-    marginal variance beta_ur.
+    chunk without building it; both scale by sqrt(beta_ur).  The dense
+    factor ``apply(np.eye(rank))`` satisfies factor @ factor^T ~= beta_ur *
+    Sigma with exact per-point marginal variance beta_ur.
     """
 
     blocks: tuple
     grid: GridSpec
     clipped_mass: float
+    beta_ur: float
 
     @property
     def rank(self) -> int:
         return sum(block.shape[1] for block in self.blocks)
 
     def _parts(self, coeffs: np.ndarray) -> list:
-        """The four parity parts, (x rows, y rows, k) each, for real
-        coefficient columns (rank, k); rows follow the blocks in order."""
+        """The four parity parts at unit power, (x rows, y rows, k) each,
+        for real coefficient columns (rank, k); rows follow the blocks."""
         ny, hy = self.grid.ny, self.grid.ny // 2
         parts, start = [], 0
         for block, (_, sy) in zip(self.blocks, _PARITIES):
@@ -212,7 +228,8 @@ class FieldSampler:
         """Fields on the grid, (n_points, k), for real coefficient columns
         (rank, k); rows follow the blocks in order."""
         field = np.empty((self.grid.nx, self.grid.ny, coeffs.shape[1]))
-        return _unfold(*self._parts(coeffs), field).reshape(self.grid.n_points, -1)
+        parts = self._parts(math.sqrt(self.beta_ur) * coeffs)
+        return _unfold(*parts, field).reshape(self.grid.n_points, -1)
 
     def abs_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """Y = cell_area * sum over the grid of |field|, (k / 2,), for the
@@ -222,7 +239,7 @@ class FieldSampler:
 
         The field is unfolded a few lower-half x rows and their mirror rows
         at a time, about _CHUNK values whatever the number of columns, and
-        only their magnitudes are kept.
+        only their magnitudes are kept; sqrt(beta_ur) scales the sums.
         """
         ee, eo, oe, oo = self._parts(coeffs)
         ny, k = self.grid.ny, coeffs.shape[1]
@@ -238,7 +255,7 @@ class FieldSampler:
             field *= field
             power = np.add(field[:, :half], field[:, half:], out=magnitude[:field.shape[0]])
             total += np.sqrt(power, out=power).sum(axis=0)
-        return (self.grid.cell_area * _SQRT_HALF) * total
+        return (self.grid.cell_area * _SQRT_HALF * math.sqrt(self.beta_ur)) * total
 
 
 def _unfold(ee, eo, oe, oo, out):
@@ -292,9 +309,12 @@ def _unit_factors(blocks, weights) -> tuple[list, list, float]:
     its rows cover, one entry per row, shaped as the leading corner of
     ``weights[0]`` that those points fill.  A point's power is
     sum_k weights[k]^2 * (row power of F_k) over the blocks that cover it.
-    The clipped-mass limit, the rejection ratio and the rank truncation are
-    judged on the union of the block spectra, as for the whole matrix.
-    Each eigenvector's sign is fixed by :func:`_fix_signs`.
+    The clipped-mass limit, the rejection ratio and the rank cut are judged
+    on the union of the block spectra, as for the whole matrix: the
+    smallest eigenvalues whose sum is at most _TAIL_MASS of the total are
+    dropped.  Each block's kept columns run in descending eigenvalue order,
+    so a cut moved by one eigenvalue adds or drops a trailing column.  Each
+    eigenvector's sign is fixed by :func:`_fix_signs`.
     """
     spectra = [np.linalg.eigh(0.5 * (block + block.T)) for block in blocks]
     for _, eigvecs in spectra:
@@ -304,16 +324,20 @@ def _unit_factors(blocks, weights) -> tuple[list, list, float]:
         raise CovarianceRepairFailure(
             f"clipped eigenvalue mass {clipped_mass:.3e} exceeds "
             f"{_CLIPPED_MASS_LIMIT:.0e}")
-    keep = eigvals > _RANK_TRUNCATION * eigvals.max()
+    # eigh sorts each spectrum ascending, and a stable sort of the union keeps
+    # that order among ties, so each block's dropped columns lead
+    order = np.argsort(eigvals, kind="stable")
+    tail = np.cumsum(eigvals[order])
+    drop = np.zeros(eigvals.size, dtype=bool)
+    drop[order[:np.count_nonzero(tail <= _TAIL_MASS * tail[-1])]] = True
     corners = [tuple(map(slice, weight.shape)) for weight in weights]
     factors, bases, start = [], [], 0
     power = np.zeros(weights[0].shape)
     for (_, eigvecs), weight, corner in zip(spectra, weights, corners):
         stop = start + eigvecs.shape[1]
-        # eigh sorts each spectrum ascending, so the dropped columns lead
-        kept = slice(np.count_nonzero(~keep[start:stop]), None)
-        bases.append(eigvecs[:, kept])
-        factors.append(bases[-1] * np.sqrt(eigvals[start:stop][kept]))
+        dropped = np.count_nonzero(drop[start:stop])
+        bases.append(eigvecs[:, dropped:][:, ::-1])
+        factors.append(bases[-1] * np.sqrt(eigvals[start:stop][dropped:][::-1]))
         power[corner] += weight ** 2 * (factors[-1] ** 2).sum(axis=1).reshape(weight.shape)
         start = stop
     if np.any(power <= 0.0):
@@ -322,6 +346,28 @@ def _unit_factors(blocks, weights) -> tuple[list, list, float]:
     for factor, weight, corner in zip(factors, weights, corners):
         factor *= (weight * unit[corner]).reshape(-1, 1)
     return factors, bases, clipped_mass
+
+
+# the unit factors of the last (geometry, grid, model) built, by that key
+_last_surface: dict = {}
+
+
+def _unit_surface(geom: SurfaceGeometry, grid: GridSpec,
+                  model: IsotropicCorrelation) -> tuple[tuple, float]:
+    """The read-only unit-power block factors of the grid correlation and
+    their clipped mass.  Only the last (geometry, grid, model) is kept:
+    consecutive systems that differ only in their link budget share it, and
+    the previous factor is freed before another is built."""
+    key = (geom, grid, model)
+    if key not in _last_surface:
+        _last_surface.clear()
+        weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
+                   for sx, sy in _PARITIES]
+        factors, _, clipped_mass = _unit_factors(surface_blocks(geom, grid, model), weights)
+        for factor in factors:
+            factor.flags.writeable = False
+        _last_surface[key] = (tuple(factors), clipped_mass)
+    return _last_surface[key]
 
 
 def build_surface_covariance(
@@ -333,18 +379,16 @@ def build_surface_covariance(
     """Correlation of the grid points, repaired and factorized per block.
 
     The blocks are those of :func:`surface_blocks`.  A point's row power is
-    the same at its four mirror images, so the unit row-power scaling and
-    sqrt(beta_ur) go into the rows of the block factors, with the weight of
-    each row's basis vector on the grid.
+    the same at its four mirror images, so the unit row-power scaling goes
+    into the rows of the block factors, with the weight of each row's basis
+    vector on the grid.  A call with the (geometry, grid, model) of the
+    previous one shares its unit factors; the sampler applies sqrt(beta_ur).
     """
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
-    weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
-               for sx, sy in _PARITIES]
-    factors, _, clipped_mass = _unit_factors(surface_blocks(geom, grid, model), weights)
-    for factor in factors:
-        factor *= math.sqrt(beta_ur)
-    return FieldSampler(blocks=tuple(factors), grid=grid, clipped_mass=clipped_mass)
+    blocks, clipped_mass = _unit_surface(geom, grid, model)
+    return FieldSampler(blocks=blocks, grid=grid, clipped_mass=clipped_mass,
+                        beta_ur=beta_ur)
 
 
 def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
@@ -476,6 +520,10 @@ class ReplicateBatch:
         if self.n < 2:
             raise DomainError("a standard error needs two replicates at least")
         snr = self.snr_samples
+        # n squares of deviations below the largest sample sum to a finite variance
+        if snr.max() > math.sqrt(np.finfo(float).max / self.n):
+            raise DomainError(
+                f"{_SNR_OVERFLOW}: SNR samples up to {snr.max():.3e} overflow their variance")
         y = self.y_samples
         se = self.se_samples()
         sqrt_n = math.sqrt(self.n)
@@ -534,18 +582,23 @@ class Oracle:
         """Replicate block ``index`` of the batch with master ``seed``: its
         field coefficients, (rank, 512), and its direct channels, (M, 256).
 
-        The block's normals are one C-order draw from the stream seeded by
-        (seed, index).  Rows are the field coefficients, then the direct
-        ones, so the field rows do not depend on M; columns are the real
-        parts of the block's 256 replicates, then their imaginary parts.
-        The normals have unit variance and a unit complex draw 1/2 per
-        component, so the maps from them scale by sqrt(1/2):
-        :meth:`FieldSampler.abs_sums` gives the block's Y and
+        The block's normals fill one (rank + M, 512) array: the rows of
+        parity block k are a C-order draw from the substream seeded by
+        (seed, index, k), and the direct rows one from (seed, index, 4).
+        So the field rows do not depend on M, and a parity block that keeps
+        one more column draws one more trailing row and moves no other
+        normal.  Columns are the real parts of the block's 256 replicates,
+        then their imaginary parts.  The normals have unit variance and a
+        unit complex draw 1/2 per component, so the maps from them scale by
+        sqrt(1/2): :meth:`FieldSampler.abs_sums` gives the block's Y and
         :func:`sample_field` its fields.
         """
+        sizes = [block.shape[1] for block in self.sampler.blocks] + [self.direct.shape[1]]
+        z = np.empty((sum(sizes), 2 * _BLOCK))
+        for k, rows in enumerate(np.split(z, np.cumsum(sizes)[:-1])):
+            np.random.default_rng(np.random.SeedSequence((seed, index, k))).standard_normal(
+                out=rows)
         rank = self.sampler.rank
-        z = np.random.default_rng(np.random.SeedSequence((seed, index))).standard_normal(
-            (rank + self.direct.shape[1], 2 * _BLOCK))
         return z[:rank], sample_direct_channel(self.direct, z[rank:])
 
     def batch(self, n: int, seed: int) -> ReplicateBatch:
@@ -554,11 +607,9 @@ class Oracle:
         Y is summed by :meth:`FieldSampler.abs_sums` from the parity parts
         of the field, in a fixed order of chunks, so it equals the Riemann
         sum of :func:`sample_field`'s fields to roundoff, not bit for bit.
+        An SNR past the floating-point range raises :class:`DomainError`.
         """
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise DomainError("n must be an integer >= 1")
-        if not (isinstance(seed, numbers.Integral) and seed >= 0):
-            raise DomainError("seed must be a nonnegative integer")
+        _check_batch(n, seed)
         padded = -(-n // _BLOCK) * _BLOCK
         y = np.empty(padded)
         snr = np.empty(padded)
@@ -566,13 +617,26 @@ class Oracle:
             coeffs, h_d = self.draw_block(seed, index)
             rows = slice(start, start + _BLOCK)
             y[rows] = self.sampler.abs_sums(coeffs)
-            snr[rows] = optimal_snr_sample(h_d, y[rows], self.a_b, self.cfg)
+            with np.errstate(over="ignore"):
+                snr[rows] = optimal_snr_sample(h_d, y[rows], self.a_b, self.cfg)
+        if not np.all(np.isfinite(snr)):
+            raise DomainError(f"{_SNR_OVERFLOW}: an SNR sample overflows")
         return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
+
+
+def _check_batch(n, seed) -> None:
+    """Reject a replicate count or master seed that is not a usable integer."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError("n must be an integer >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError("seed must be a nonnegative integer")
 
 
 def run_replicates(cfg: SystemConfig, grid: GridSpec, n: int, seed: int) -> ReplicateBatch:
     """Draw n independent (field, direct channel) pairs and score them:
-    ``Oracle.build(cfg, grid).batch(n, seed)``."""
+    ``Oracle.build(cfg, grid).batch(n, seed)``, with n and seed checked
+    before any factor is built."""
+    _check_batch(n, seed)
     return Oracle.build(cfg, grid).batch(n, seed)
 
 

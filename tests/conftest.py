@@ -33,6 +33,15 @@ def batches():
     return get
 
 
+@pytest.fixture(autouse=True)
+def fresh_surface_factors():
+    """Build unit surface factors anew in every test, so that a test that
+    patches the factor path never sees a factor cached by another."""
+    mcsim._last_surface.clear()
+    yield
+    mcsim._last_surface.clear()
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(MASTER_SEED)

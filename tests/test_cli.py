@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from contris.mcsim import EmpiricalCdf, make_grid, run_replicates
 from contris.sysmodel import CorrelationKind, LinkBudget
 
 
+# well formed, but their Monte Carlo SNR leaves the floating-point range
+SNR_OVERFLOW_DOCUMENTS = [
+    {"system": {"transmit_snr": 1e300}},
+    {"system": {"link": {"c0": 1e300}}},
+]
+
 # malformed documents: each must give exit 2 and a message, never a traceback
 BAD_DOCUMENTS = [
     {"system": {"geometry": 5}},
@@ -49,8 +56,7 @@ BAD_DOCUMENTS = [
     {"system": {"link": {"d_rb_m": 30.0, "d_x_m": 30.0, "d_y_m": 0.0}}},
     # well formed, but the model leaves the floating-point range at run time
     {"system": {"link": {"d_x_m": 1e-200, "d_y_m": 0.0}}},
-    {"system": {"transmit_snr": 1e300}},
-    {"system": {"link": {"c0": 1e300}}},
+    *SNR_OVERFLOW_DOCUMENTS,
     {"system": {"transmit_snr": 1e-300}},
     {"system": {"geometry": {"width_m": 1e-150, "height_m": 1e-150}}},
 ]
@@ -346,6 +352,18 @@ class TestScenarios:
         # the longer direct path of setup B hardens the channel more
         assert table.rows[1][3] < table.rows[0][3]
 
+    def test_fig5_builds_one_unit_factor_per_key(self, monkeypatch):
+        # the A/B/C layouts of one (geometry, grid, model) share its unit
+        # surface factor: 48 points, 16 keys
+        calls = []
+        blocks = mcsim.surface_blocks
+        monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args)
+                            or blocks(*args))
+        cfg = tiny_config(replicates=2, sweep=default_sweep())
+        table = run_scenario("fig5", cfg)
+        assert len(table.rows) == 48
+        assert len(calls) == 16
+
     def test_reproducible_rows(self):
         cfg = tiny_config(sweep=SweepSpec(areas_m2=(0.1,)))
         a = run_scenario("fig2", cfg)
@@ -490,6 +508,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("document", SNR_OVERFLOW_DOCUMENTS)
+    def test_snr_overflow_under_validate_exits_2(self, tmp_path, capsys, document):
+        # a numpy overflow warning raises here, and main does not catch it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--config", str(path), "--validate", "--grid", "8x8",
+                             "--replicates", "200"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "transmit_snr" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", [b"{\"seed\": 1", b"\xff\xfe{}", b"[" + b"9" * 5000 + b"]"])
     def test_unreadable_json_exits_2(self, tmp_path, capsys, text):

@@ -171,6 +171,81 @@ class TestSurfaceCovariance:
         recon = factor @ factor.T
         assert np.max(np.abs(recon - cov)) <= 1e-10 * BETA_UR
 
+    def test_cached_blocks_reject_writes(self):
+        geom = small_geom()
+        sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
+        for block in sampler.blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                block *= 2.0
+
+    def test_layouts_share_one_unit_factor(self, paper_system, monkeypatch):
+        # beta_ur only scales the unit factor, so the fig5 layouts of one
+        # (geometry, grid, model) build it once and draw Y in the ratio of
+        # their sqrt(beta_ur)
+        from contris.cli import SETUPS
+
+        calls = []
+        blocks = mcsim.surface_blocks
+        monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args)
+                            or blocks(*args))
+        grid = make_grid(paper_system.geometry, 16, 16)
+        systems = [dataclasses.replace(paper_system, link=dataclasses.replace(
+            paper_system.link, d_y_m=d_y, d_rb_m=d_rb, d_x_m=d_x))
+            for d_y, d_rb, d_x in (SETUPS[name] for name in "ABC")]
+        ys = [Oracle.build(system, grid).batch(300, 6).y_samples for system in systems]
+        assert len(calls) == 1
+        betas = [derive_gains(system).beta_ur for system in systems]
+        assert len(set(betas)) > 1
+        for y, beta in zip(ys[1:], betas[1:]):
+            ratio = math.sqrt(beta / betas[0])
+            assert np.max(np.abs(y / ys[0] / ratio - 1.0)) <= 1e-15
+
+    def test_only_the_last_unit_factor_is_kept(self, monkeypatch):
+        # a key is shared only with the next call, so a sweep that returns
+        # to an earlier key builds it again and holds one factor at a time
+        calls = []
+        blocks = mcsim.surface_blocks
+        monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args)
+                            or blocks(*args))
+        geom = small_geom()
+        grid = make_grid(geom, 8, 8)
+        sinc = IsotropicCorrelation(CorrelationKind.SINC, 1.0, WAVELENGTH)
+        for model in (jakes(), sinc, sinc, jakes()):
+            build_surface_covariance(geom, grid, model, BETA_UR)
+        assert len(calls) == 3
+        assert len(mcsim._last_surface) == 1
+
+    def test_rank_cut_moves_samples_by_sqrt_lambda(self, paper_system, monkeypatch):
+        # each parity block's columns run by descending eigenvalue and draw
+        # from their own substream, so keeping one more eigenvalue lambda
+        # adds one trailing column with its own normals: Y and the SNR move
+        # by about sqrt(lambda) relative, not by a redraw.  The sinc 32x32
+        # surface has eigenvalue clusters near the default cut.
+        system = dataclasses.replace(paper_system, correlation=dataclasses.replace(
+            paper_system.correlation, kind=CorrelationKind.SINC))
+        grid = make_grid(system.geometry, 32, 32)
+        # the union spectrum as _unit_factors computes and orders it
+        spectrum = np.maximum(np.concatenate([
+            np.linalg.eigh(0.5 * (block + block.T))[0]
+            for block in surface_blocks(system.geometry, grid, system.correlation)]), 0.0)
+        spectrum = spectrum[np.argsort(spectrum, kind="stable")]
+        tail = np.cumsum(spectrum) / spectrum.sum()
+        j = np.count_nonzero(tail <= mcsim._TAIL_MASS)
+        runs = []
+        for dropped in (j, j + 1):
+            monkeypatch.setattr(mcsim, "_TAIL_MASS", 0.5 * (tail[dropped - 1] + tail[dropped]))
+            mcsim._last_surface.clear()
+            oracle = Oracle.build(system, grid)
+            runs.append((oracle.sampler.rank, oracle.batch(512, 9)))
+        (rank_k1, more), (rank_k, fewer) = runs
+        assert rank_k1 == rank_k + 1 == spectrum.size - j
+        bound = math.sqrt(spectrum[j])
+        for name in ("y_samples", "snr_samples"):
+            a, b = getattr(more, name), getattr(fewer, name)
+            assert 0.0 < np.max(np.abs(a - b) / b) <= bound, name
+
     @pytest.mark.parametrize("kind", list(CorrelationKind))
     @pytest.mark.parametrize("nx,ny", [(7, 7), (8, 8), (8, 5), (5, 6), (2, 2)])
     def test_blocks_match_dense_reflection_basis(self, kind, nx, ny):
@@ -279,7 +354,7 @@ class TestDirectChannel:
         # any sign ramp, and a square array has degenerate eigenvalue pairs,
         # so a factor that kept the eigenvectors' signs moved these channels
         # by 0.5 to 1.2 relative.  The factor's square root moves by about
-        # delta / sqrt(lambda) at the smallest kept eigenvalue lambda, 1e-9
+        # delta / sqrt(lambda) at the smallest kept eigenvalue lambda, 1e-10
         # relative at most on these arrays.
         r_d = bs_correlation_matrix(array, jakes())
         factor = direct_factor(r_d, 1.0)
@@ -389,18 +464,23 @@ class TestRunReplicates:
         assert np.array_equal(a.snr_samples, b.snr_samples)
         assert np.array_equal(a.y_samples, b.y_samples)
 
-    def test_thread_count_moves_samples_only_by_roundoff(self, tmp_path):
+    @pytest.mark.parametrize("kind", [CorrelationKind.JAKES, CorrelationKind.SINC])
+    def test_thread_count_moves_samples_only_by_roundoff(self, tmp_path, kind):
         # OpenBLAS returns other eigenvector signs at another thread count
         # on the default square grid; with the signs fixed, the batches
-        # still differ, but only by roundoff
+        # still differ, but only by roundoff.  The sinc 32x32 spectrum has
+        # eigenvalue clusters near the rank cut.
         import contris
         import os
         import subprocess
         import sys
 
-        script = ("import sys, numpy as np\n"
+        script = ("import dataclasses, sys, numpy as np\n"
                   "from contris import cli, mcsim\n"
+                  "from contris.sysmodel import CorrelationKind\n"
                   "s = cli.default_system()\n"
+                  "s = dataclasses.replace(s, correlation=dataclasses.replace(\n"
+                  "    s.correlation, kind=CorrelationKind(sys.argv[2])))\n"
                   "grid = mcsim.make_grid(s.geometry, 32, 32)\n"
                   "np.save(sys.argv[1], mcsim.run_replicates(s, grid, 600, 3).y_samples)\n")
         package_root = os.path.dirname(os.path.dirname(contris.__file__))
@@ -410,7 +490,7 @@ class TestRunReplicates:
                        PYTHONPATH=os.pathsep.join(
                            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"y{threads}.npy"
-            subprocess.run([sys.executable, "-c", script, str(out)],
+            subprocess.run([sys.executable, "-c", script, str(out), kind.value],
                            env=env, check=True, timeout=300)
             batches.append(np.load(out))
         assert np.allclose(batches[0], batches[1], rtol=1e-6, atol=0.0)
@@ -443,10 +523,15 @@ class TestRunReplicates:
             run_replicates(paper_system, foreign, 10, 0)
 
     @pytest.mark.parametrize("n,seed", [(10.5, 0), (10.0, 0), (0, 0), (10, 1.5), (10, -1)])
-    def test_non_integral_or_out_of_range_n_and_seed_rejected(self, paper_system, n, seed):
+    def test_non_integral_or_out_of_range_n_and_seed_rejected(self, paper_system, n, seed,
+                                                              monkeypatch):
+        # rejected before any factor is built
+        calls = []
+        monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args))
         grid = make_grid(paper_system.geometry, 4, 4)
         with pytest.raises(DomainError):
             run_replicates(paper_system, grid, n, seed)
+        assert calls == []
 
     @pytest.mark.parametrize("budget", ["default", "one row"])
     @pytest.mark.parametrize("kind", list(CorrelationKind))
