@@ -310,7 +310,8 @@ class LinkTerms:
 
 
 def link_terms(cfg: SystemConfig) -> LinkTerms:
-    """Evaluate the direct-channel quadratic forms for a configuration."""
+    """Evaluate the direct-channel quadratic forms for a configuration;
+    a^H R a is a PSD form, so roundoff below 0 is clamped to 0."""
     gains = derive_gains(cfg)
     r_d = bs_correlation_matrix(cfg.array, cfg.bs_correlation)
     a_b = steering_vector(cfg.array)
@@ -321,7 +322,7 @@ def link_terms(cfg: SystemConfig) -> LinkTerms:
         beta_d=gains.beta_d,
         beta_rb=gains.beta_rb,
         beta_ur=gains.beta_ur,
-        quad_r=float(np.real(np.vdot(a_b, ra))),
+        quad_r=max(0.0, float(np.real(np.vdot(a_b, ra)))),
         quad_r2=float(np.real(np.vdot(ra, ra))),
         tr_r2=float((r_d * r_d).sum()),
         tr_r_sq=float(np.trace(r_d)) ** 2,
@@ -334,7 +335,7 @@ def mean_snr_from_terms(terms: LinkTerms, m1: float, m2: float) -> float:
     return t.gamma * (
         t.m * t.beta_d
         + t.m * t.beta_rb * m2
-        + m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d * t.quad_r))
+        + m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d * max(t.quad_r, 0.0)))
 
 
 def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
@@ -343,17 +344,22 @@ def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
 
 
 def second_moment_snr_from_terms(terms: LinkTerms, moments: YMoments) -> float:
-    """Second moment of the optimal SNR from Y moments and channel terms."""
+    """Second moment of the optimal SNR from Y moments and channel terms.
+
+    At a^H R a = 0 the term in ||Ra||^2 / a^H R a takes its limit 0, since
+    ||Ra||^2 <= lambda_max a^H R a."""
     t = terms
     m1, m2, m3, m4 = moments.m1, moments.m2, moments.m3, moments.m4
+    quad_r = max(t.quad_r, 0.0)
+    cross = (m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d ** 3 * quad_r)
+             * (2.0 * t.m + t.quad_r2 / quad_r)) if quad_r > 0.0 else 0.0
     bracket = (
         t.beta_d ** 2 * (t.tr_r2 + t.tr_r_sq)
         + 2.0 * t.m ** 2 * t.beta_d * t.beta_rb * m2
-        + m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d ** 3 * t.quad_r)
-        * (2.0 * t.m + t.quad_r2 / t.quad_r)
+        + cross
         + t.m ** 2 * t.beta_rb ** 2 * m4
-        + 2.0 * t.m * m3 * math.sqrt(math.pi * t.beta_d * t.beta_rb ** 3 * t.quad_r)
-        + 4.0 * t.beta_d * t.beta_rb * m2 * t.quad_r)
+        + 2.0 * t.m * m3 * math.sqrt(math.pi * t.beta_d * t.beta_rb ** 3 * quad_r)
+        + 4.0 * t.beta_d * t.beta_rb * m2 * quad_r)
     return t.gamma ** 2 * bracket
 
 

@@ -129,6 +129,9 @@ class SweepSpec:
         if not any((self.areas_m2, self.kappas, self.aspects,
                     self.thresholds_db, self.setups)):
             raise ConfigError("sweep must define at least one parameter list")
+        if not all(math.isfinite(v) for v in
+                   self.areas_m2 + self.kappas + self.aspects + self.thresholds_db):
+            raise ConfigError("sweep values must be finite")
         if not all(v > 0.0 for v in self.areas_m2 + self.aspects):
             raise ConfigError("sweep areas and aspects must be positive")
         if not all(v >= 0.0 for v in self.kappas):

@@ -45,6 +45,7 @@ from .sysmodel import (
     SurfaceGeometry,
     SystemConfig,
     clip_spectrum,
+    clipped_eigh,
     derive_gains,
     bs_correlation_matrix,
     steering_vector,
@@ -78,8 +79,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rank small without moving the covariance beyond the 1e-10 reconstruction
 # contract
 _TAIL_MASS = 1e-12
-
-_CLIPPED_MASS_LIMIT = 1e-6
 
 _SNR_OVERFLOW = "transmit_snr times the path gains leaves the floating-point range"
 
@@ -290,40 +289,29 @@ def _fix_signs(eigvecs: np.ndarray) -> None:
     sign only where the projection stands well clear of roundoff.  That
     holds for the parity blocks of the surface, which carry no mirror
     symmetry: their kept columns project at 1e-10 of the ramp's norm or
-    more on every grid tested.  It fails for a matrix with a mirror
-    symmetry in two axes, such as R_d: its eigenvectors that are odd in
-    both axes are orthogonal to every affine function of the flat index, so
+    more on every grid tested.  R_d's mirror symmetries defeat the ramp, so
     :func:`direct_factor` uses a factor that carries no signs.
     """
     ramp = np.arange(1.0, eigvecs.shape[0] + 1.0)
     eigvecs *= np.where(ramp @ eigvecs < 0.0, -1.0, 1.0)
 
 
-def _unit_factors(blocks, weights) -> tuple[list, list, float]:
-    """Real factors F_k with F_k F_k^T ~= block_k for the diagonal blocks
-    of one correlation matrix, scaled so that every point has unit power;
-    the kept eigenvectors V_k of each block, F_k's column space; and the
-    clipped mass.
+def _unit_factors(eigvals, bases, weights) -> tuple[list, list]:
+    """Real factors F_k of the diagonal blocks of one correlation matrix,
+    scaled so that every point has unit power, and the kept eigenvectors
+    V_k of each block, F_k's column space.
 
+    ``eigvals`` is the clipped union of the block spectra, each ascending
+    as ``eigh`` returns it, and ``bases[k]`` holds block k's eigenvectors.
     ``weights[k]`` holds the weight of block k's basis vector on each point
     its rows cover, one entry per row, shaped as the leading corner of
     ``weights[0]`` that those points fill.  A point's power is
     sum_k weights[k]^2 * (row power of F_k) over the blocks that cover it.
-    The clipped-mass limit, the rejection ratio and the rank cut are judged
-    on the union of the block spectra, as for the whole matrix: the
+    The rank cut is judged on the union, as for the whole matrix: the
     smallest eigenvalues whose sum is at most _TAIL_MASS of the total are
     dropped.  Each block's kept columns run in descending eigenvalue order,
-    so a cut moved by one eigenvalue adds or drops a trailing column.  Each
-    eigenvector's sign is fixed by :func:`_fix_signs`.
+    so a cut moved by one eigenvalue adds or drops a trailing column.
     """
-    spectra = [np.linalg.eigh(0.5 * (block + block.T)) for block in blocks]
-    for _, eigvecs in spectra:
-        _fix_signs(eigvecs)
-    eigvals, clipped_mass = clip_spectrum(np.concatenate([w for w, _ in spectra]))
-    if clipped_mass > _CLIPPED_MASS_LIMIT:
-        raise CovarianceRepairFailure(
-            f"clipped eigenvalue mass {clipped_mass:.3e} exceeds "
-            f"{_CLIPPED_MASS_LIMIT:.0e}")
     # eigh sorts each spectrum ascending, and a stable sort of the union keeps
     # that order among ties, so each block's dropped columns lead
     order = np.argsort(eigvals, kind="stable")
@@ -331,13 +319,13 @@ def _unit_factors(blocks, weights) -> tuple[list, list, float]:
     drop = np.zeros(eigvals.size, dtype=bool)
     drop[order[:np.count_nonzero(tail <= _TAIL_MASS * tail[-1])]] = True
     corners = [tuple(map(slice, weight.shape)) for weight in weights]
-    factors, bases, start = [], [], 0
+    factors, kept, start = [], [], 0
     power = np.zeros(weights[0].shape)
-    for (_, eigvecs), weight, corner in zip(spectra, weights, corners):
+    for eigvecs, weight, corner in zip(bases, weights, corners):
         stop = start + eigvecs.shape[1]
         dropped = np.count_nonzero(drop[start:stop])
-        bases.append(eigvecs[:, dropped:][:, ::-1])
-        factors.append(bases[-1] * np.sqrt(eigvals[start:stop][dropped:][::-1]))
+        kept.append(eigvecs[:, dropped:][:, ::-1])
+        factors.append(kept[-1] * np.sqrt(eigvals[start:stop][dropped:][::-1]))
         power[corner] += weight ** 2 * (factors[-1] ** 2).sum(axis=1).reshape(weight.shape)
         start = stop
     if np.any(power <= 0.0):
@@ -345,7 +333,7 @@ def _unit_factors(blocks, weights) -> tuple[list, list, float]:
     unit = 1.0 / np.sqrt(power)
     for factor, weight, corner in zip(factors, weights, corners):
         factor *= (weight * unit[corner]).reshape(-1, 1)
-    return factors, bases, clipped_mass
+    return factors, kept
 
 
 # the unit factors of the last (geometry, grid, model) built, by that key
@@ -357,13 +345,18 @@ def _unit_surface(geom: SurfaceGeometry, grid: GridSpec,
     """The read-only unit-power block factors of the grid correlation and
     their clipped mass.  Only the last (geometry, grid, model) is kept:
     consecutive systems that differ only in their link budget share it, and
-    the previous factor is freed before another is built."""
+    the previous factor is freed before another is built.  Eigenvector
+    signs follow :func:`_fix_signs`; the block spectra are clipped as one."""
     key = (geom, grid, model)
     if key not in _last_surface:
         _last_surface.clear()
         weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
                    for sx, sy in _PARITIES]
-        factors, _, clipped_mass = _unit_factors(surface_blocks(geom, grid, model), weights)
+        spectra = [np.linalg.eigh(block) for block in surface_blocks(geom, grid, model)]
+        for _, eigvecs in spectra:
+            _fix_signs(eigvecs)
+        eigvals, clipped_mass = clip_spectrum(np.concatenate([w for w, _ in spectra]))
+        factors, _ = _unit_factors(eigvals, [v for _, v in spectra], weights)
         for factor in factors:
             factor.flags.writeable = False
         _last_surface[key] = (tuple(factors), clipped_mass)
@@ -376,7 +369,7 @@ def build_surface_covariance(
     model: IsotropicCorrelation,
     beta_ur: float,
 ) -> FieldSampler:
-    """Correlation of the grid points, repaired and factorized per block.
+    """Correlation of the grid points, clipped and factorized per block.
 
     The blocks are those of :func:`surface_blocks`.  A point's row power is
     the same at its four mirror images, so the unit row-power scaling goes
@@ -396,13 +389,15 @@ def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
     component of the direct channel CN(0, beta_d R_d): the (M, M) map from
     :meth:`Oracle.draw_block`'s unit normals to either component.
 
-    D = F V^T for the unit-power factor F of R_d and its kept eigenvectors
-    V, so an eigenvector's sign cancels in D, and so does any rotation
-    within an exactly degenerate eigenspace.  R_d's mirror symmetries leave
-    the signs of some columns of :func:`_fix_signs` to roundoff, and a
-    square array has degenerate eigenvalue pairs; D depends on neither.
+    R_d is eigendecomposed once, by :func:`clipped_eigh`, and D = F V^T for
+    the unit-power factor F of its clipped spectrum and its kept
+    eigenvectors V.  So an eigenvector's sign cancels in D, and so does any
+    rotation within an exactly degenerate eigenspace: R_d's mirror
+    symmetries leave some signs to roundoff, and a square array has
+    degenerate eigenvalue pairs, but D depends on neither.
     """
-    (factor,), (basis,), _ = _unit_factors([r_d], [np.ones(r_d.shape[0])])
+    eigvals, eigvecs, _ = clipped_eigh(r_d)
+    (factor,), (basis,) = _unit_factors(eigvals, [eigvecs], [np.ones(r_d.shape[0])])
     return math.sqrt(0.5 * beta_d) * (factor @ basis.T)
 
 

@@ -39,12 +39,13 @@ __all__ = [
     "derive_gains",
     "clip_spectrum",
     "clipped_eigh",
-    "psd_repair",
 ]
 
-# An eigenvalue more negative than this fraction of the largest one marks a
-# genuinely indefinite model rather than roundoff.
+# An eigenvalue more negative than this fraction of the largest one, or
+# negative eigenvalues holding more than this fraction of the absolute
+# eigenvalue mass, mark a genuinely indefinite model rather than roundoff.
 _REJECT_RATIO = 1e-6
+_CLIPPED_MASS_LIMIT = 1e-6
 
 
 class CorrelationKind(str, enum.Enum):
@@ -209,15 +210,17 @@ def steering_vector(array: BsArrayConfig) -> np.ndarray:
 
 
 def clip_spectrum(eigvals: np.ndarray):
-    """Clamp the negative eigenvalues of a correlation spectrum to 0.
+    """Clamp the negative eigenvalues of a correlation spectrum to 0, or
+    reject the spectrum as indefinite.
 
     ``eigvals`` may be the union of the spectra of independent diagonal
     blocks; every rule below is then judged on the union.  Returns
     ``(eigvals_clipped, clipped_mass)``, where clipped_mass is the removed
     fraction of total absolute eigenvalue mass.  Raises
     :class:`CovarianceRepairFailure` when the largest eigenvalue is not
-    positive, or when any eigenvalue is more negative than ``_REJECT_RATIO``
-    times the largest one.
+    positive, when any eigenvalue is more negative than ``_REJECT_RATIO``
+    times the largest one, or when the clipped mass exceeds
+    ``_CLIPPED_MASS_LIMIT``.
     """
     largest = eigvals.max()
     if largest <= 0.0:
@@ -228,6 +231,9 @@ def clip_spectrum(eigvals: np.ndarray):
             f"eigenvalue {smallest:.3e} too negative relative to {largest:.3e}")
     total_mass = np.abs(eigvals).sum()
     clipped_mass = float(-eigvals[eigvals < 0.0].sum() / total_mass)
+    if clipped_mass > _CLIPPED_MASS_LIMIT:
+        raise CovarianceRepairFailure(
+            f"clipped eigenvalue mass {clipped_mass:.3e} exceeds {_CLIPPED_MASS_LIMIT:.0e}")
     return np.maximum(eigvals, 0.0), clipped_mass
 
 
@@ -242,24 +248,10 @@ def clipped_eigh(matrix: np.ndarray):
     return clipped, eigvecs, clipped_mass
 
 
-def psd_repair(matrix: np.ndarray) -> np.ndarray:
-    """Project a correlation matrix onto the PSD cone and restore its diagonal.
-
-    Negative roundoff eigenvalues are clamped to zero and the unit diagonal
-    is recovered by symmetric rescaling.
-    """
-    eigvals, eigvecs, _ = clipped_eigh(matrix)
-    repaired = (eigvecs * eigvals) @ eigvecs.T
-    d = np.sqrt(np.diag(repaired))
-    repaired = repaired / np.outer(d, d)
-    return 0.5 * (repaired + repaired.T)
-
-
 def bs_correlation_matrix(array: BsArrayConfig, model: IsotropicCorrelation) -> np.ndarray:
-    """Antenna correlation matrix from pairwise grid distances.
-
-    Unit diagonal, exactly symmetric, PSD after clipping repair.
-    """
+    """Antenna correlation matrix from pairwise grid distances: unit
+    diagonal, exactly symmetric, and PSD up to roundoff, since J0 and sinc
+    of planar distances are positive-definite kernels (Schoenberg 1938)."""
     x, z = _element_positions_wavelengths(array)
     # grid distances in meters so the correlation model applies unchanged
     dx = (x[:, None] - x[None, :]) * model.wavelength_m
@@ -267,8 +259,7 @@ def bs_correlation_matrix(array: BsArrayConfig, model: IsotropicCorrelation) -> 
     dist = np.hypot(dx, dz)
     corr = model.rho(dist)
     np.fill_diagonal(corr, 1.0)
-    corr = 0.5 * (corr + corr.T)
-    return psd_repair(corr)
+    return 0.5 * (corr + corr.T)
 
 
 def derive_gains(cfg: SystemConfig) -> ChannelGains:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contris import analytic
 from contris.analytic import (
     GammaFit,
     LinkTerms,
@@ -325,6 +326,23 @@ class TestSnrMoments:
             SnrMoments(mu1=2.0, mu2=3.9)
         with pytest.raises(DomainError):
             SnrMoments(mu1=0.0, mu2=1.0)
+
+    def test_snr_moments_make_no_eigensolve(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("the analytic chain needs no eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        snr_moments(default_system())
+
+    @pytest.mark.parametrize("quad_r", [0.0, -1e-15])
+    def test_invisible_steering_vector_gives_finite_moments(self, monkeypatch, quad_r):
+        # a steering vector in R_d's null space has a^H R a = 0 and Ra = 0
+        # up to roundoff
+        terms = dataclasses.replace(link_terms(default_system()),
+                                    quad_r=quad_r, quad_r2=1e-30)
+        monkeypatch.setattr(analytic, "link_terms", lambda cfg: terms)
+        pair = snr_moments(default_system())
+        assert math.isfinite(pair.mu1) and math.isfinite(pair.mu2)
 
     def test_link_terms_quadratics(self):
         system = default_system()

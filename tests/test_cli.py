@@ -172,6 +172,10 @@ class TestLoadConfig:
             load_config({"sweep": EMPTY_SWEEP})
         with pytest.raises(ConfigError):
             load_config({"sweep": {"setups": ["D"]}})
+        for lists in ({"kappas": (math.inf,)}, {"areas_m2": (math.inf,)},
+                      {"thresholds_db": (math.nan,)}):
+            with pytest.raises(ConfigError, match="finite"):
+                SweepSpec(**lists)
 
     def test_document_replaces_only_given_fields(self):
         assert load_config({}) == ExperimentConfig()
@@ -399,14 +403,15 @@ class TestValidate:
         assert identity.measured == pytest.approx(1e-8, rel=1e-3)
         assert checks["mean_y_exactness_z"].passed
 
-    def test_direct_correlation_factored_at_most_twice(self, monkeypatch):
-        # R_d is the only one-block matrix the factor routine sees
+    def test_direct_correlation_factored_once(self, monkeypatch):
+        # the oracle eigendecomposes R_d once, from the model matrix, and
+        # the surface blocks without clipped_eigh
         calls = []
-        factors = mcsim._unit_factors
-        monkeypatch.setattr(mcsim, "_unit_factors", lambda blocks, weights: (
-            len(blocks) == 1 and calls.append(blocks)) or factors(blocks, weights))
+        clipped_eigh = mcsim.clipped_eigh
+        monkeypatch.setattr(mcsim, "clipped_eigh", lambda matrix: (
+            calls.append(matrix.shape), clipped_eigh(matrix))[1])
         assert validate(tiny_config(replicates=400)).all_passed
-        assert len(calls) <= 2
+        assert calls == [(32, 32)]
 
     def test_batch_and_identity_check_share_one_factor(self, monkeypatch):
         # validate factors the surface once, and its batch is bit for bit
@@ -488,6 +493,17 @@ class TestMain:
         assert cli.main(["--config", str(p), "--scenario", "table1",
                          "--seed", "5", "--out", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
+
+    def test_invisible_steering_vector_exits_0(self, tmp_path):
+        # at kappa = 0 R_d is all ones, and this arrival makes sum(a) = 0,
+        # so a^H R a is 0 up to roundoff of either sign
+        array = {"m_x": 8, "m_z": 4, "spacing_wavelengths": 1.0,
+                 "theta_a_rad": 1.0471975511965976, "phi_a_rad": 1.5795229733034795}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"system": {"array": array}}))
+        for scenario in (["table1"], ["fig3", "--grid", "8x8", "--replicates", "200"]):
+            assert cli.main(["--config", str(cfg_path), "--scenario", *scenario,
+                             "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

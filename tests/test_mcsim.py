@@ -6,7 +6,7 @@ import pytest
 
 from contris import mcsim
 from contris.analytic import moment_m1, moment_m2_grid, moment_m2_iso
-from contris.errors import DomainError
+from contris.errors import CovarianceRepairFailure, DomainError
 from contris.mcsim import (
     EmpiricalCdf,
     GridSpec,
@@ -335,14 +335,26 @@ class TestDirectChannel:
         r_d = bs_correlation_matrix(BsArrayConfig(), jakes())
         factor = direct_factor(r_d, 2.0)
         assert np.max(np.abs(factor @ factor.T - r_d)) < 1e-12
-        fix_signs = mcsim._fix_signs
+        clipped_eigh = mcsim.clipped_eigh
 
-        def flip_every_other(eigvecs):
-            fix_signs(eigvecs)
+        def flip_every_other(matrix):
+            eigvals, eigvecs, mass = clipped_eigh(matrix)
             eigvecs[:, ::2] *= -1.0
+            return eigvals, eigvecs, mass
 
-        monkeypatch.setattr(mcsim, "_fix_signs", flip_every_other)
+        monkeypatch.setattr(mcsim, "clipped_eigh", flip_every_other)
         assert np.array_equal(direct_factor(r_d, 2.0), factor)
+
+    def test_indefinite_matrix_rejected(self):
+        # eigenvalues 3 and -1
+        with pytest.raises(CovarianceRepairFailure):
+            direct_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+        # eigenvalues 1 and ten of -5e-7: each passes the ratio rule, but
+        # together they clip 5e-6 of the mass
+        basis = np.linalg.qr(np.random.default_rng(2).standard_normal((11, 11)))[0]
+        r = (basis * np.array([1.0] + [-5e-7] * 10)) @ basis.T
+        with pytest.raises(CovarianceRepairFailure, match="clipped eigenvalue mass"):
+            direct_factor(r, 1.0)
 
     @pytest.mark.parametrize("array", [
         BsArrayConfig(),

@@ -17,7 +17,6 @@ from contris.sysmodel import (
     bs_correlation_matrix,
     clip_spectrum,
     derive_gains,
-    psd_repair,
     steering_vector,
 )
 
@@ -229,17 +228,7 @@ class TestBsCorrelationMatrix:
         assert np.linalg.eigvalsh(r).min() >= -1e-12 * m
 
 
-class TestPsdRepair:
-    def test_indefinite_matrix_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(CovarianceRepairFailure):
-            psd_repair(bad)
-
-    def test_roundoff_clipping(self):
-        r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out = psd_repair(r)
-        assert np.allclose(out, r, atol=1e-14)
-
+class TestClipSpectrum:
     def test_spectrum_rules_judge_the_union(self):
         # an exactly zero block beside a positive one is valid, and a
         # roundoff-sized negative eigenvalue is measured against the union
@@ -250,6 +239,10 @@ class TestPsdRepair:
             clip_spectrum(np.zeros(3))
         with pytest.raises(CovarianceRepairFailure):
             clip_spectrum(np.array([-1e-5, 0.5, 1.0]))
+        # each of these passes the ratio rule, but together they clip 5e-6
+        # of the mass, beyond the 1e-6 limit
+        with pytest.raises(CovarianceRepairFailure, match="clipped eigenvalue mass"):
+            clip_spectrum(np.array([1.0] + [-5e-7] * 10))
 
 
 class TestDeriveGains:
