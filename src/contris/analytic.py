@@ -1,21 +1,20 @@
 """Closed-form and quadrature statistics of the optimally phased surface.
 
-The chain implemented here:
+The SNR moments come from three stages:
 
-1. Moments of the aggregate surface amplitude Y (the integral of the field
-   magnitude over the rectangle).  The mean is closed form; the second
-   moment reduces, for isotropic correlation, to a single integral of the
-   hypergeometric kernel against the distance density of two uniform points
-   in a rectangle.  A tensor Gauss-Legendre rule over the two coordinate
-   differences serves as an independent cross-check, and the same tensor
-   sum over the cell offsets gives the exact second moment of a grid.
-2. Third and fourth moments of Y via the gamma-shape recursion driven by
-   (m1, m2) only; higher-order amplitude correlations have no closed form.
-3. Mean and second moment of the post-design SNR from the Y moments and the
-   direct-channel correlation quadratics.
-4. Gamma method-of-moments fit, outage CDF, spectral-efficiency bound with
-   its dominant error term, and the squared coefficient of variation used
-   to quantify channel hardening.
+1. :func:`link_terms`: the link gains and the direct channel's quadratic
+   forms of R (a^H R a, ||R a||^2, tr R^2; R has a unit diagonal, tr R = M).
+2. :class:`YMoments`: the mean of the surface amplitude Y (the integral of
+   the field magnitude) in closed form; its second moment, for isotropic
+   correlation, as one integral of the hypergeometric kernel against the
+   distance density of two uniform points in the rectangle, cross-checked
+   by a tensor Gauss-Legendre rule whose sum over cell offsets also gives a
+   grid's exact second moment; m3 and m4 from (m1, m2) by the gamma-shape
+   recursion, since higher-order amplitude correlations have no closed form.
+3. :func:`snr_pair`: the SNR's mean and second moment from the two.
+
+Then the gamma fit, outage CDF, spectral-efficiency bound and its dominant
+error term, and the squared coefficient of variation (channel hardening).
 """
 
 from __future__ import annotations
@@ -49,11 +48,9 @@ __all__ = [
     "moment_m2_iso",
     "moment_m2_quad4",
     "moment_m2_grid",
-    "moments_m3_m4",
+    "snr_pair",
     "mean_snr",
-    "mean_snr_from_terms",
     "second_moment_snr",
-    "second_moment_snr_from_terms",
     "snr_moments",
     "gamma_fit",
     "outage_probability",
@@ -80,23 +77,28 @@ def _variance(first: float, second: float) -> float:
 
 @dataclass(frozen=True)
 class YMoments:
-    """First four moments of the aggregate surface amplitude."""
+    """First two moments of the aggregate surface amplitude, and the third
+    and fourth that the gamma-shape recursion derives from them."""
 
     m1: float
     m2: float
-    m3: float
-    m4: float
 
     def __post_init__(self):
-        m3, m4 = moments_m3_m4(self.m1, self.m2)
-        if not (math.isclose(self.m3, m3, rel_tol=1e-6)
-                and math.isclose(self.m4, m4, rel_tol=1e-6)):
-            raise DomainError("m3/m4 inconsistent with the gamma recursion")
+        _variance(self.m1, self.m2)
 
     @classmethod
     def from_first_two(cls, m1: float, m2: float) -> "YMoments":
-        m3, m4 = moments_m3_m4(m1, m2)
-        return cls(m1=m1, m2=m2, m3=m3, m4=m4)
+        # kept for the callers in perfbench/
+        return cls(m1, m2)
+
+    @property
+    def m3(self) -> float:
+        return (2.0 * self.m2 - self.m1 ** 2) * self.m2 / self.m1
+
+    @property
+    def m4(self) -> float:
+        m1, m2 = self.m1, self.m2
+        return (3.0 * m2 - 2.0 * m1 ** 2) * (2.0 * m2 - m1 ** 2) * m2 / m1 ** 2
 
 
 @dataclass(frozen=True)
@@ -286,14 +288,6 @@ def moment_m2_grid(
     return _tensor_m2(model, beta_ur, *axis(nx, geom.width_m), *axis(ny, geom.height_m))
 
 
-def moments_m3_m4(m1: float, m2: float) -> tuple[float, float]:
-    """Third and fourth moments of Y under the gamma-shape recursion."""
-    _variance(m1, m2)
-    m3 = (2.0 * m2 - m1 ** 2) * m2 / m1
-    m4 = (3.0 * m2 - 2.0 * m1 ** 2) * (2.0 * m2 - m1 ** 2) * m2 / m1 ** 2
-    return m3, m4
-
-
 @dataclass(frozen=True)
 class LinkTerms:
     """Scalars through which the direct channel enters the SNR moments."""
@@ -305,8 +299,7 @@ class LinkTerms:
     beta_ur: float
     quad_r: float       # a^H R a
     quad_r2: float      # a^H R^2 a
-    tr_r2: float        # tr(R^2)
-    tr_r_sq: float      # tr(R)^2
+    tr_r2: float        # tr(R^2); tr(R) = m, since R has a unit diagonal
 
 
 def link_terms(cfg: SystemConfig) -> LinkTerms:
@@ -325,58 +318,51 @@ def link_terms(cfg: SystemConfig) -> LinkTerms:
         quad_r=max(0.0, float(np.real(np.vdot(a_b, ra)))),
         quad_r2=float(np.real(np.vdot(ra, ra))),
         tr_r2=float((r_d * r_d).sum()),
-        tr_r_sq=float(np.trace(r_d)) ** 2,
     )
 
 
-def mean_snr_from_terms(terms: LinkTerms, m1: float, m2: float) -> float:
-    """Mean SNR from the Y moments and direct-channel terms."""
-    t = terms
-    return t.gamma * (
-        t.m * t.beta_d
-        + t.m * t.beta_rb * m2
-        + m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d * max(t.quad_r, 0.0)))
-
-
-def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
-    """Mean of the optimal SNR for a full system configuration."""
-    return mean_snr_from_terms(link_terms(cfg), m1, m2)
-
-
-def second_moment_snr_from_terms(terms: LinkTerms, moments: YMoments) -> float:
-    """Second moment of the optimal SNR from Y moments and channel terms.
+def snr_pair(terms: LinkTerms, y: YMoments) -> tuple[float, float]:
+    """Mean and second moment (mu1, mu2) of the optimal SNR from the
+    direct-channel terms and the Y moments.
 
     At a^H R a = 0 the term in ||Ra||^2 / a^H R a takes its limit 0, since
     ||Ra||^2 <= lambda_max a^H R a."""
     t = terms
-    m1, m2, m3, m4 = moments.m1, moments.m2, moments.m3, moments.m4
+    m1, m2 = y.m1, y.m2
     quad_r = max(t.quad_r, 0.0)
+    mu1 = t.gamma * (
+        t.m * t.beta_d
+        + t.m * t.beta_rb * m2
+        + m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d * quad_r))
     cross = (m1 * math.sqrt(math.pi * t.beta_rb * t.beta_d ** 3 * quad_r)
              * (2.0 * t.m + t.quad_r2 / quad_r)) if quad_r > 0.0 else 0.0
     bracket = (
-        t.beta_d ** 2 * (t.tr_r2 + t.tr_r_sq)
+        t.beta_d ** 2 * (t.tr_r2 + t.m ** 2)
         + 2.0 * t.m ** 2 * t.beta_d * t.beta_rb * m2
         + cross
-        + t.m ** 2 * t.beta_rb ** 2 * m4
-        + 2.0 * t.m * m3 * math.sqrt(math.pi * t.beta_d * t.beta_rb ** 3 * quad_r)
+        + t.m ** 2 * t.beta_rb ** 2 * y.m4
+        + 2.0 * t.m * y.m3 * math.sqrt(math.pi * t.beta_d * t.beta_rb ** 3 * quad_r)
         + 4.0 * t.beta_d * t.beta_rb * m2 * quad_r)
-    return t.gamma ** 2 * bracket
+    return mu1, t.gamma ** 2 * bracket
+
+
+def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
+    """Mean of the optimal SNR for a full system configuration."""
+    return snr_pair(link_terms(cfg), YMoments(m1, m2))[0]
 
 
 def second_moment_snr(cfg: SystemConfig, moments: YMoments) -> float:
     """Second moment of the optimal SNR for a full system configuration."""
-    return second_moment_snr_from_terms(link_terms(cfg), moments)
+    return snr_pair(link_terms(cfg), moments)[1]
 
 
 def snr_moments(cfg: SystemConfig) -> SnrMoments:
     """Mean and second moment of the optimal SNR for a full system
-    configuration: link terms, then the Y moments, then the SNR moments."""
+    configuration: link terms, then the Y moments, then the SNR pair."""
     terms = link_terms(cfg)
     m1 = moment_m1(cfg.geometry, terms.beta_ur)
     m2 = moment_m2_iso(cfg.geometry, cfg.correlation, terms.beta_ur)
-    return SnrMoments(
-        mu1=mean_snr_from_terms(terms, m1, m2),
-        mu2=second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2)))
+    return SnrMoments(*snr_pair(terms, YMoments(m1, m2)))
 
 
 def gamma_fit(mu1: float, mu2: float) -> GammaFit:

@@ -49,8 +49,9 @@ function.  One loop runs a spec over the product of its axes:
 * ``fig5``   channel-hardening CV^2 per layout setup, area and kappa
 * ``table1`` bound vs dominant-error-term summary over kappa
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error (a
-malformed config, or a configured model outside the library's domain or the
+Exit codes: 0 success, 1 validation failure or I/O error (``io error:`` on
+stderr, such as an unwritable ``--out``), 2 configuration error (a malformed
+config, or a configured model outside the library's domain or the
 floating-point range).
 """
 
@@ -88,6 +89,7 @@ from .analytic import (
 from .errors import ConfigError, ContrisError, DomainError
 from .mcsim import (
     EmpiricalCdf,
+    GridSpec,
     Oracle,
     make_grid,
     optimal_phase_profile,
@@ -173,9 +175,12 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not (len(self.grid) == 2
-                and all(isinstance(n, numbers.Integral) and n >= 2 for n in self.grid)):
-            raise ConfigError("grid must have at least 2 points per axis")
+        if len(self.grid) != 2:
+            raise ConfigError("grid must be a pair (nx, ny)")
+        try:  # the grid applies to each sweep geometry; only its sides are checked here
+            GridSpec(*self.grid, cell_area=1.0)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 2):
             raise ConfigError("replicates must be an integer >= 2, for a standard error")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -610,18 +615,12 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 # output
 # --------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit(table: ResultTable, path: str) -> None:
     """Write the table as CSV with '#'-prefixed provenance comments."""
     lines = [f"# {key}={value}" for key, value in table.provenance.items()]
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(map(str, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

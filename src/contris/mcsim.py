@@ -86,7 +86,8 @@ _SNR_OVERFLOW = "transmit_snr times the path gains leaves the floating-point ran
 _CHUNK = 1 << 16
 
 # suggest_grid keeps cells below this fraction of the correlation period per
-# axis, with this many cells per axis at least and at most
+# axis, with this many cells per axis at least and at most; GridSpec admits no
+# more than _MAX_SIDE (a 256x256 grid's factor blocks take about 9 GB)
 _CELL_FRACTION = 0.25
 _MIN_SIDE = 8
 _MAX_SIDE = 256
@@ -101,8 +102,9 @@ class GridSpec:
     cell_area: float
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.nx, self.ny)):
-            raise DomainError("grid point counts must be integers >= 2")
+        if not all(isinstance(n, numbers.Integral) and 2 <= n <= _MAX_SIDE
+                   for n in (self.nx, self.ny)):
+            raise DomainError(f"grid point counts must be integers in [2, {_MAX_SIDE}]")
         if not 0.0 < self.cell_area < math.inf:
             raise DomainError("cell_area must be positive and finite")
 
@@ -620,9 +622,11 @@ class Oracle:
 
 
 def _check_batch(n, seed) -> None:
-    """Reject a replicate count or master seed that is not a usable integer."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError("n must be an integer >= 1")
+    """Reject a replicate count or master seed that is not a usable integer;
+    the count is at most what numpy can index."""
+    most = np.iinfo(np.intp).max
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= most):
+        raise DomainError(f"the replicate count must be an integer in [1, {most}]")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError("seed must be a nonnegative integer")
 

@@ -152,6 +152,9 @@ class BsArrayConfig:
     def __post_init__(self):
         if not all(isinstance(m, numbers.Integral) and m >= 1 for m in (self.m_x, self.m_z)):
             raise DomainError("antenna counts must be integers >= 1")
+        most = np.iinfo(np.intp).max
+        if self.m > most:
+            raise DomainError(f"m_x * m_z exceeds {most}, the most antennas numpy can index")
         if not 0.0 < self.spacing_wavelengths < math.inf:
             raise DomainError("antenna spacing must be positive and finite")
         if not 0.0 <= self.theta_a_rad <= math.pi:
@@ -250,8 +253,9 @@ def clipped_eigh(matrix: np.ndarray):
 
 def bs_correlation_matrix(array: BsArrayConfig, model: IsotropicCorrelation) -> np.ndarray:
     """Antenna correlation matrix from pairwise grid distances: unit
-    diagonal, exactly symmetric, and PSD up to roundoff, since J0 and sinc
-    of planar distances are positive-definite kernels (Schoenberg 1938)."""
+    diagonal, exactly symmetric (the hypot of negated differences is
+    exact), and PSD up to roundoff, since J0 and sinc of planar distances
+    are positive-definite kernels (Schoenberg 1938)."""
     x, z = _element_positions_wavelengths(array)
     # grid distances in meters so the correlation model applies unchanged
     dx = (x[:, None] - x[None, :]) * model.wavelength_m
@@ -259,7 +263,7 @@ def bs_correlation_matrix(array: BsArrayConfig, model: IsotropicCorrelation) -> 
     dist = np.hypot(dx, dz)
     corr = model.rho(dist)
     np.fill_diagonal(corr, 1.0)
-    return 0.5 * (corr + corr.T)
+    return corr
 
 
 def derive_gains(cfg: SystemConfig) -> ChannelGains:

@@ -279,7 +279,7 @@ def test_criterion_9_moment_recursion_exactness():
         for theta in (0.1, 1.0, 10.0):
             m1 = k * theta
             m2 = k * (k + 1.0) * theta ** 2
-            ym = YMoments.from_first_two(m1, m2)
+            ym = YMoments(m1, m2)
             exact3 = k * (k + 1) * (k + 2) * theta ** 3
             exact4 = k * (k + 1) * (k + 2) * (k + 3) * theta ** 4
             worst = max(worst, abs(ym.m3 - exact3) / exact3,

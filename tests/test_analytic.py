@@ -17,17 +17,15 @@ from contris.analytic import (
     gamma_fit,
     link_terms,
     mean_snr,
-    mean_snr_from_terms,
     moment_m1,
     moment_m2_iso,
     moment_m2_quad4,
-    moments_m3_m4,
     outage_probability,
     rect_distance_pdf,
     se_bound,
     second_moment_snr,
-    second_moment_snr_from_terms,
     snr_moments,
+    snr_pair,
 )
 from contris.cli import default_system
 from contris.errors import DomainError, NonPositiveVariance
@@ -70,7 +68,7 @@ class ZeroCorrelation:
 
 def unit_terms(**overrides) -> LinkTerms:
     base = dict(gamma=1.0, m=1, beta_d=1.0, beta_rb=1.0, beta_ur=1.0,
-                quad_r=1.0, quad_r2=1.0, tr_r2=1.0, tr_r_sq=1.0)
+                quad_r=1.0, quad_r2=1.0, tr_r2=1.0)
     base.update(overrides)
     return LinkTerms(**base)
 
@@ -243,57 +241,58 @@ class TestMomentM2:
         assert all(b <= a + 1e-18 for a, b in zip(values, values[1:]))
 
 
+def recursion(m1, m2):
+    y = YMoments(m1, m2)
+    return y.m3, y.m4
+
+
 class TestMomentRecursion:
     def test_gamma_shape_two(self):
-        assert moments_m3_m4(2.0, 6.0) == pytest.approx((24.0, 120.0), rel=1e-14)
+        assert recursion(2.0, 6.0) == pytest.approx((24.0, 120.0), rel=1e-14)
 
     def test_exponential(self):
-        assert moments_m3_m4(1.0, 2.0) == pytest.approx((6.0, 24.0), rel=1e-14)
+        assert recursion(1.0, 2.0) == pytest.approx((6.0, 24.0), rel=1e-14)
 
     def test_deterministic_limit(self):
-        m3, m4 = moments_m3_m4(3.0, 9.0)
+        m3, m4 = recursion(3.0, 9.0)
         assert m3 == pytest.approx(27.0, rel=1e-14)
         assert m4 == pytest.approx(81.0, rel=1e-14)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
-            moments_m3_m4(2.0, 3.9)
+            YMoments(2.0, 3.9)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.0])
     @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
     def test_exact_gamma_moments(self, k, theta):
         m1 = k * theta
         m2 = k * (k + 1.0) * theta ** 2
-        m3, m4 = moments_m3_m4(m1, m2)
+        m3, m4 = recursion(m1, m2)
         assert m3 == pytest.approx(k * (k + 1) * (k + 2) * theta ** 3, rel=1e-12)
         assert m4 == pytest.approx(k * (k + 1) * (k + 2) * (k + 3) * theta ** 4, rel=1e-12)
 
     def test_ymoments_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            YMoments(m1=1.0, m2=2.0, m3=5.0, m4=24.0)
-        ym = YMoments.from_first_two(1.0, 2.0)
-        assert (ym.m3, ym.m4) == pytest.approx((6.0, 24.0))
+        assert [f.name for f in dataclasses.fields(YMoments)] == ["m1", "m2"]
+        assert YMoments.from_first_two(1.0, 2.0) == YMoments(1.0, 2.0)
 
 
 class TestSnrMoments:
     def test_mean_direct_only(self):
         terms = unit_terms(gamma=2.0, m=4, beta_d=3.0, beta_rb=0.0)
-        assert mean_snr_from_terms(terms, 1.0, 2.0) == pytest.approx(24.0)
+        assert snr_pair(terms, YMoments(1.0, 2.0))[0] == pytest.approx(24.0)
 
     def test_mean_unit_corner(self):
-        assert mean_snr_from_terms(unit_terms(), 1.0, 2.0) == pytest.approx(
+        assert snr_pair(unit_terms(), YMoments(1.0, 2.0))[0] == pytest.approx(
             MEAN_SNR_UNIT_CORNER, rel=1e-14)
 
     def test_second_moment_direct_only(self):
-        terms = unit_terms(gamma=2.0, beta_d=3.0, beta_rb=0.0,
-                           tr_r2=5.0, tr_r_sq=7.0)
-        moments = YMoments.from_first_two(1.0, 2.0)
-        assert second_moment_snr_from_terms(terms, moments) == pytest.approx(
-            4.0 * 9.0 * 12.0)
+        # an array of two antennas: tr(R) = 2, and tr(R^2) lies in [2, 4]
+        terms = unit_terms(gamma=2.0, m=2, beta_d=3.0, beta_rb=0.0, tr_r2=3.0)
+        assert snr_pair(terms, YMoments(1.0, 2.0))[1] == pytest.approx(
+            4.0 * 9.0 * (3.0 + 4.0))
 
     def test_second_moment_unit_corner(self):
-        moments = YMoments(m1=1.0, m2=2.0, m3=6.0, m4=24.0)
-        assert second_moment_snr_from_terms(unit_terms(), moments) == pytest.approx(
+        assert snr_pair(unit_terms(), YMoments(1.0, 2.0))[1] == pytest.approx(
             MU2_UNIT_CORNER, rel=1e-14)
 
     def test_config_level_second_moment_inequality(self):
@@ -301,9 +300,8 @@ class TestSnrMoments:
         gains = derive_gains(system)
         m1 = moment_m1(system.geometry, gains.beta_ur)
         m2 = moment_m2_iso(system.geometry, system.correlation, gains.beta_ur)
-        mu1 = mean_snr(system, m1, m2)
-        terms = link_terms(system)
-        mu2 = second_moment_snr_from_terms(terms, YMoments.from_first_two(m1, m2))
+        mu1, mu2 = snr_pair(link_terms(system), YMoments(m1, m2))
+        assert mu1 == mean_snr(system, m1, m2)
         assert mu2 >= mu1 ** 2
 
     @pytest.mark.parametrize("kind,kappa", [(CorrelationKind.JAKES, 1.0),
@@ -316,7 +314,7 @@ class TestSnrMoments:
         m1 = moment_m1(system.geometry, beta_ur)
         m2 = moment_m2_iso(system.geometry, system.correlation, beta_ur)
         expected = (mean_snr(system, m1, m2),
-                    second_moment_snr(system, YMoments.from_first_two(m1, m2)))
+                    second_moment_snr(system, YMoments(m1, m2)))
         assert dataclasses.astuple(snr_moments(system)) == expected
 
     def test_snr_moments_invariants(self):
@@ -350,7 +348,8 @@ class TestSnrMoments:
         assert terms.m == 32
         assert terms.quad_r > 0.0
         assert terms.quad_r2 > 0.0
-        assert terms.tr_r_sq == pytest.approx(32.0 ** 2, rel=1e-12)
+        # tr(R^2) >= tr(R)^2 / M = M by Cauchy-Schwarz on the spectrum
+        assert terms.tr_r2 >= terms.m
 
 
 class TestGammaFit:
@@ -461,10 +460,9 @@ def test_non_finite_inputs_rejected(call):
 
 # every taker of a (first, second) moment pair applies one rule: second >= first^2
 MOMENT_PAIR_TAKERS = {
-    "YMoments": lambda m1, m2: YMoments(m1, m2, 1.0, 1.0),
+    "YMoments": YMoments,
     "YMoments.from_first_two": YMoments.from_first_two,
     "SnrMoments": SnrMoments,
-    "moments_m3_m4": moments_m3_m4,
     "cv_squared": cv_squared,
     "dominant_error_term": dominant_error_term,
 }

@@ -190,6 +190,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("overrides", [
         {"replicates": 1.5}, {"replicates": 0}, {"seed": 2.0}, {"seed": -1},
         {"grid": (8, 8.5)}, {"grid": (1, 8)}, {"replicates": 1},
+        {"grid": (99999999999999999999, 2)},
     ])
     def test_experiment_config_domain(self, overrides):
         with pytest.raises(ConfigError):
@@ -268,6 +269,13 @@ class TestEmit(object):
         emit(self._table(), str(p1))
         emit(self._table(), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_scalar_cells(self, tmp_path):
+        table = ResultTable(columns=("a", "b"), rows=((np.float64(0.1), np.int64(3)),),
+                            provenance={"seed": 0})
+        path = tmp_path / "np.csv"
+        emit(table, str(path))
+        assert path.read_text() == "# seed=0\na,b\n0.1,3\n"
 
     def test_empty_table(self, tmp_path):
         table = ResultTable(columns=("x",), rows=(),
@@ -537,6 +545,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "transmit_snr" in err and "Traceback" not in err
+
+    # sizes numpy cannot index, each rejected before anything is allocated
+    @pytest.mark.parametrize("args,document", [
+        (["--validate", "--grid", "99999999999999999999x2"], None),
+        (["--validate"], {"grid": {"nx": 1e20}}),
+        (["--validate"], {"system": {"array": {"m_x": 1e20}}}),
+        (["--scenario", "fig2", "--replicates", "99999999999999999999"], None),
+    ], ids=["grid_flag", "grid_config", "antennas", "replicates"])
+    def test_unindexable_sizes_exit_2(self, tmp_path, capsys, args, document):
+        out = tmp_path / "x.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(document or {}))
+        assert cli.main(["--config", str(path), *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [b"{\"seed\": 1", b"\xff\xfe{}", b"[" + b"9" * 5000 + b"]"])
     def test_unreadable_json_exits_2(self, tmp_path, capsys, text):

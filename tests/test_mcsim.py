@@ -112,6 +112,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             GridSpec(nx=nx, ny=ny, cell_area=cell_area)
 
+    def test_side_at_most_max_side(self):
+        # constructs the spec only; a 256x256 grid's factors would take ~9 GB
+        assert GridSpec(nx=256, ny=2, cell_area=0.1).n_points == 512
+        with pytest.raises(DomainError):
+            GridSpec(nx=257, ny=2, cell_area=0.1)
+
     def test_numpy_integer_counts_accepted(self):
         assert GridSpec(nx=np.int64(3), ny=np.int32(4), cell_area=0.1).n_points == 12
 

@@ -200,6 +200,7 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize("kwargs", [
         {"m_x": 0}, {"m_x": 0.5}, {"m_z": 2.0}, {"spacing_wavelengths": math.inf},
+        {"m_x": 10 ** 20},
     ])
     def test_invalid_counts_and_spacing(self, kwargs):
         with pytest.raises(DomainError):
@@ -221,11 +222,18 @@ class TestBsCorrelationMatrix:
     def test_contract(self, model):
         arr = BsArrayConfig(m_x=8, m_z=4)
         r = bs_correlation_matrix(arr, model)
-        m = arr.m
-        assert np.trace(r) == pytest.approx(m, rel=1e-12)
+        assert np.all(np.diag(r) == 1.0)
+        assert np.linalg.eigvalsh(r).min() >= -1e-12 * arr.m
+
+    @pytest.mark.parametrize("model", [jakes(), sinc_model()], ids=["jakes", "sinc"])
+    @pytest.mark.parametrize("shape", [(8, 4), (16, 8), (12, 12), (5, 3)])
+    @pytest.mark.parametrize("spacing", [0.5, 0.37, 1.3])
+    def test_exactly_symmetric_with_trace_m(self, model, shape, spacing):
+        # the SNR moments read tr(R)^2 as M^2
+        arr = BsArrayConfig(m_x=shape[0], m_z=shape[1], spacing_wavelengths=spacing)
+        r = bs_correlation_matrix(arr, model)
         assert np.array_equal(r, r.T)
-        assert np.allclose(np.diag(r), 1.0, atol=1e-12)
-        assert np.linalg.eigvalsh(r).min() >= -1e-12 * m
+        assert np.trace(r) == arr.m
 
 
 class TestClipSpectrum:
