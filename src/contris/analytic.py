@@ -20,12 +20,12 @@ error term, and the squared coefficient of variation (channel hardening).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveVariance
+from .mcsim import GridSpec
 from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .specfun import gauss_2f1_half, reg_lower_gamma
 from .sysmodel import (
@@ -269,23 +269,21 @@ def moment_m2_grid(
     geom: SurfaceGeometry,
     model: IsotropicCorrelation,
     beta_ur: float,
-    nx: int,
-    ny: int,
+    grid: GridSpec,
 ) -> float:
-    """Exact second moment of the Riemann sum of Y on the nx x ny grid of
-    cell centers: cell_area^2 times the kernel summed over all cell pairs.
+    """Exact second moment of the Riemann sum of Y on the grid's cell
+    centers: cell_area^2 times the kernel summed over all cell pairs.
     Per axis, the offset i L / n occurs in (n - i)(2 - [i = 0]) ordered
     cell pairs."""
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
-        raise DomainError("nx and ny must be positive integers")
 
     def axis(n, length_m):
         i, cell = np.arange(n), length_m / n
         return i * cell, (n - i) * np.where(i > 0, 2.0, 1.0) * cell * cell
 
-    return _tensor_m2(model, beta_ur, *axis(nx, geom.width_m), *axis(ny, geom.height_m))
+    return _tensor_m2(model, beta_ur, *axis(grid.nx, geom.width_m),
+                      *axis(grid.ny, geom.height_m))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,6 @@ from .mcsim import (
     EmpiricalCdf,
     GridSpec,
     Oracle,
-    make_grid,
     optimal_phase_profile,
     run_replicates,
     sample_field,
@@ -168,19 +167,15 @@ def default_sweep() -> SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemConfig = dataclasses.field(default_factory=default_system)
-    grid: tuple = (32, 32)  # (nx, ny) applied to each sweep geometry
+    grid: GridSpec = GridSpec(32, 32)  # applied to each sweep geometry
     replicates: int = 10000
     seed: int = 20260810
     sweep: SweepSpec = dataclasses.field(default_factory=default_sweep)
     output_path: str | None = None
 
     def __post_init__(self):
-        if len(self.grid) != 2:
-            raise ConfigError("grid must be a pair (nx, ny)")
-        try:  # the grid applies to each sweep geometry; only its sides are checked here
-            GridSpec(*self.grid, cell_area=1.0)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
+        if not isinstance(self.grid, GridSpec):
+            raise ConfigError(f"grid must be a GridSpec, got {self.grid!r}")
         if not (isinstance(self.replicates, numbers.Integral) and self.replicates >= 2):
             raise ConfigError("replicates must be an integer >= 2, for a standard error")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -218,8 +213,6 @@ class ValidationReport:
 
 # fields that a document may also give in decibels, as <name>_db
 _GAINS = {"c0", "transmit_snr"}
-# the keys of a grid section, in the order of ExperimentConfig.grid
-_GRID_AXES = ("nx", "ny")
 
 
 def _db_to_linear(db: float) -> float:
@@ -335,14 +328,10 @@ def load_config(document: dict | None) -> ExperimentConfig:
     if "correlation" in sys_doc:
         # the array's correlation follows the surface's unless given
         sys_doc.setdefault("bs_correlation", sys_doc["correlation"])
-    grid_doc = _section(doc.pop("grid", {}), "grid")
-    _check_keys(grid_doc, set(_GRID_AXES), "grid")
-    grid = tuple(_value(grid_doc.get(axis, n), n, f"grid.{axis}")
-                 for axis, n in zip(_GRID_AXES, ExperimentConfig.grid))
     if doc.get("output_path") is None:  # null keeps the default
         doc.pop("output_path", None)
     base = ExperimentConfig(
-        system=_with_correlation(default_system(), wavelength_m=wavelength), grid=grid)
+        system=_with_correlation(default_system(), wavelength_m=wavelength))
     return _merge(base, {**doc, "system": sys_doc})
 
 
@@ -350,8 +339,7 @@ def config_to_dict(value):
     """A config as the JSON document that :func:`load_config` reads back.
 
     Walks the dataclass tree and writes enums by value; the wavelength that
-    both correlation models carry goes once to ``system.wavelength_m``, and
-    the grid goes as ``{nx, ny}``.
+    both correlation models carry goes once to ``system.wavelength_m``.
     """
     if isinstance(value, enum.Enum):
         return value.value
@@ -362,8 +350,6 @@ def config_to_dict(value):
     if isinstance(value, SystemConfig):
         doc["wavelength_m"] = doc["correlation"].pop("wavelength_m")
         del doc["bs_correlation"]["wavelength_m"]
-    if isinstance(value, ExperimentConfig):
-        doc["grid"] = dict(zip(_GRID_AXES, value.grid))
     return doc
 
 
@@ -427,7 +413,7 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     return {"config_sha256": config_hash(cfg), "seed": cfg.seed, "version": __version__,
             "numpy": np.__version__, "blas": _blas(),
             **{var: os.environ.get(var, "unset") for var in _BLAS_THREAD_VARS},
-            "grid": f"{cfg.grid[0]}x{cfg.grid[1]}", "replicates": cfg.replicates}
+            "grid": f"{cfg.grid.nx}x{cfg.grid.ny}", "replicates": cfg.replicates}
 
 
 def _fig2_rows(cfg, point, snr, batch):
@@ -519,8 +505,7 @@ def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
         system = _point(cfg.system, **point)
         batch = None
         if spec.salt is not None:
-            grid = make_grid(system.geometry, cfg.grid[0], cfg.grid[1])
-            batch = run_replicates(system, grid, cfg.replicates,
+            batch = run_replicates(system, cfg.grid, cfg.replicates,
                                    _point_seed(cfg.seed, spec.salt, index))
         rows += spec.rows(cfg, point, snr_moments(system), batch)
     return ResultTable(columns=spec.columns, rows=tuple(rows),
@@ -568,8 +553,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     record("distance_pdf_normalization", fs_norm, 1e-10)
 
     n_small = min(cfg.replicates, 20000)
-    grid = make_grid(geom, cfg.grid[0], cfg.grid[1])
-    oracle = Oracle.build(system, grid)
+    oracle = Oracle.build(system, cfg.grid)
     batch = oracle.batch(n_small, _point_seed(cfg.seed, 0, 0))
     summary = batch.summaries()
 
@@ -603,7 +587,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         k = min(batch.n, h_d.shape[1])
         fields, h_d = sample_field(oracle.sampler, coeffs)[:, :k], h_d[:, :k]
         phases = optimal_phase_profile(fields, h_d, oracle.a_b)
-        norm = snr_under_profile(fields, h_d, oracle.a_b, phases, system, grid)
+        norm = snr_under_profile(fields, h_d, oracle.a_b, phases, system, cfg.grid)
         return np.max(np.abs(batch.snr_samples[:k] - norm) / norm)
 
     record("snr_expansion_identity_rel", snr_identity, 1e-10)
@@ -629,10 +613,10 @@ def emit(table: ResultTable, path: str) -> None:
 # entry point
 # --------------------------------------------------------------------------
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(text: str) -> GridSpec:
     try:
         nx, ny = text.lower().split("x")
-        return int(nx), int(ny)
+        return GridSpec(int(nx), int(ny))
     except ValueError:
         raise ConfigError(f"grid must look like 32x32, got {text!r}")
 

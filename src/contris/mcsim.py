@@ -95,27 +95,28 @@ _MAX_SIDE = 256
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cell-centered discretization of the surface."""
+    """Cell-centered discretization of a surface into nx x ny equal cells."""
 
     nx: int
     ny: int
-    cell_area: float
 
     def __post_init__(self):
         if not all(isinstance(n, numbers.Integral) and 2 <= n <= _MAX_SIDE
                    for n in (self.nx, self.ny)):
             raise DomainError(f"grid point counts must be integers in [2, {_MAX_SIDE}]")
-        if not 0.0 < self.cell_area < math.inf:
-            raise DomainError("cell_area must be positive and finite")
 
     @property
     def n_points(self) -> int:
         return self.nx * self.ny
 
+    def cell_area(self, geom: SurfaceGeometry) -> float:
+        """Area of one cell of this grid on ``geom``."""
+        return geom.area_m2 / self.n_points
+
 
 def make_grid(geom: SurfaceGeometry, nx: int, ny: int) -> GridSpec:
-    """Grid of nx * ny cells covering the surface."""
-    return GridSpec(nx=nx, ny=ny, cell_area=geom.area_m2 / (nx * ny))
+    # kept for the callers in perfbench/
+    return GridSpec(nx, ny)
 
 
 def suggest_grid(geom: SurfaceGeometry, model: IsotropicCorrelation) -> GridSpec:
@@ -131,7 +132,7 @@ def suggest_grid(geom: SurfaceGeometry, model: IsotropicCorrelation) -> GridSpec
         target = _CELL_FRACTION * model.wavelength_m / model.kappa
         return min(max(_MIN_SIDE, math.ceil(length / target)), _MAX_SIDE)
 
-    return make_grid(geom, side(geom.width_m), side(geom.height_m))
+    return GridSpec(side(geom.width_m), side(geom.height_m))
 
 
 # The grid's reflection in each axis splits the cells of that axis into an
@@ -201,11 +202,13 @@ class FieldSampler:
     :meth:`abs_sums` sums the field's magnitude over the grid chunk by
     chunk without building it; both scale by sqrt(beta_ur).  The dense
     factor ``apply(np.eye(rank))`` satisfies factor @ factor^T ~= beta_ur *
-    Sigma with exact per-point marginal variance beta_ur.
+    Sigma with exact per-point marginal variance beta_ur.  ``cell_area`` is
+    the area of one grid cell on the sampled surface, each point's weight in Y.
     """
 
     blocks: tuple
     grid: GridSpec
+    cell_area: float
     clipped_mass: float
     beta_ur: float
 
@@ -256,7 +259,7 @@ class FieldSampler:
             field *= field
             power = np.add(field[:, :half], field[:, half:], out=magnitude[:field.shape[0]])
             total += np.sqrt(power, out=power).sum(axis=0)
-        return (self.grid.cell_area * _SQRT_HALF * math.sqrt(self.beta_ur)) * total
+        return (self.cell_area * _SQRT_HALF * math.sqrt(self.beta_ur)) * total
 
 
 def _unfold(ee, eo, oe, oo, out):
@@ -382,8 +385,8 @@ def build_surface_covariance(
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
     blocks, clipped_mass = _unit_surface(geom, grid, model)
-    return FieldSampler(blocks=blocks, grid=grid, clipped_mass=clipped_mass,
-                        beta_ur=beta_ur)
+    return FieldSampler(blocks=blocks, grid=grid, cell_area=grid.cell_area(geom),
+                        clipped_mass=clipped_mass, beta_ur=beta_ur)
 
 
 def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
@@ -411,12 +414,12 @@ def sample_field(sampler: FieldSampler, coeffs: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def compute_Y(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Riemann sums of the field magnitudes over the surface, (k,) for
-    fields (n_points, k)."""
-    if np.ndim(fields) != 2 or fields.shape[0] != grid.n_points:
+def compute_Y(fields: np.ndarray, sampler: FieldSampler) -> np.ndarray:
+    """Riemann sums of the field magnitudes over the sampler's surface, (k,)
+    for fields (n_points, k)."""
+    if np.ndim(fields) != 2 or fields.shape[0] != sampler.grid.n_points:
         raise DomainError("fields must have one row per grid point")
-    return grid.cell_area * np.abs(fields).sum(axis=0)
+    return sampler.cell_area * np.abs(fields).sum(axis=0)
 
 
 def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -473,7 +476,7 @@ def snr_under_profile(
     fields (n_points, k), direct channels (M, k) and phases (n_points, k);
     a single column of fields and channels broadcasts against k phases."""
     beta_rb = derive_gains(cfg).beta_rb
-    reflected = grid.cell_area * (phases * fields).sum(axis=0)
+    reflected = grid.cell_area(cfg.geometry) * (phases * fields).sum(axis=0)
     h = h_d + math.sqrt(beta_rb) * np.outer(a_b, reflected)
     return cfg.transmit_snr * (h.real ** 2 + h.imag ** 2).sum(axis=0)
 
@@ -562,10 +565,7 @@ class Oracle:
 
     @classmethod
     def build(cls, cfg: SystemConfig, grid: GridSpec) -> Oracle:
-        """Check that ``grid`` covers the surface; factor both correlations."""
-        area = cfg.geometry.area_m2
-        if abs(grid.cell_area * grid.n_points - area) > 1e-9 * area:
-            raise DomainError("grid does not cover the configured surface")
+        """Factor both correlations of ``cfg``, the surface's on ``grid``."""
         gains = derive_gains(cfg)
         return cls(
             cfg=cfg,

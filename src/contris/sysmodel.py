@@ -63,6 +63,10 @@ class SurfaceGeometry:
     def __post_init__(self):
         if not (0.0 < self.width_m < math.inf and 0.0 < self.height_m < math.inf):
             raise DomainError("surface dimensions must be positive and finite")
+        # a finite area keeps the diagonal finite too: it overflows only
+        # where both sides are near the float maximum
+        if not 0.0 < self.area_m2 < math.inf:
+            raise DomainError("surface area must be positive and finite")
 
     @property
     def area_m2(self) -> float:
@@ -241,12 +245,12 @@ def clip_spectrum(eigvals: np.ndarray):
 
 
 def clipped_eigh(matrix: np.ndarray):
-    """Eigendecompose a symmetric matrix and clip its spectrum.
+    """Eigendecompose an exactly symmetric matrix and clip its spectrum.
 
     Returns ``(eigvals_clipped, eigvecs, clipped_mass)`` with the eigenvalues
     ascending; the spectrum rules are those of :func:`clip_spectrum`.
     """
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    eigvals, eigvecs = np.linalg.eigh(matrix)
     clipped, clipped_mass = clip_spectrum(eigvals)
     return clipped, eigvecs, clipped_mass
 

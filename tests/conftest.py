@@ -26,7 +26,7 @@ def batches():
                system.link, system.array, system.transmit_snr,
                nx, ny, n, seed)
         if key not in cache:
-            grid = mcsim.make_grid(system.geometry, nx, ny)
+            grid = mcsim.GridSpec(nx, ny)
             cache[key] = mcsim.run_replicates(system, grid, n, seed)
         return cache[key]
 

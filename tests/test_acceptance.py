@@ -29,8 +29,8 @@ from contris.analytic import (
 from contris.cli import SETUPS, default_system
 from contris.mcsim import (
     EmpiricalCdf,
+    GridSpec,
     Oracle,
-    make_grid,
     optimal_phase_profile,
     sample_field,
     snr_under_profile,
@@ -240,7 +240,7 @@ def test_criterion_7_channel_hardening(batches):
 
 def test_criterion_8_per_sample_identity_and_dominance():
     system = _system(0.2, CorrelationKind.JAKES)
-    grid = make_grid(system.geometry, 16, 16)
+    grid = GridSpec(16, 16)
     oracle = Oracle.build(system, grid)
     a_b = oracle.a_b
 

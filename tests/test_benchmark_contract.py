@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from contris import cli, mcsim, sysmodel
+from contris.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"analytic", "cli", "mcsim", "quadrature", "specfun", "sysmodel"}
@@ -156,3 +157,11 @@ def test_covariance_hook_contract():
     sampler = mcsim.build_surface_covariance(system.geometry, grid, system.correlation, beta_ur)
     assert sampler.grid == grid and sampler.grid.n_points == 20
     assert isinstance(sampler.rank, int) and 1 <= sampler.rank <= grid.n_points
+
+
+@pytest.mark.parametrize("nx", [0, "8"])
+def test_make_grid_rejects_bad_sides(nx):
+    # the benchmark builds its grids through make_grid, which checks the
+    # sides by GridSpec's one rule before any cell area is taken
+    with pytest.raises(DomainError):
+        mcsim.make_grid(sysmodel.SurfaceGeometry(1.0, 1.0), nx, 4)

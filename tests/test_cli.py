@@ -27,7 +27,7 @@ from contris.cli import (
 )
 from contris.analytic import gamma_fit, outage_probability, snr_moments
 from contris.errors import ConfigError, QuadratureFailure
-from contris.mcsim import EmpiricalCdf, make_grid, run_replicates
+from contris.mcsim import EmpiricalCdf, GridSpec, run_replicates
 from contris.sysmodel import CorrelationKind, LinkBudget
 
 
@@ -124,7 +124,7 @@ EMPTY_SWEEP = dict.fromkeys((f.name for f in dataclasses.fields(SweepSpec)), [])
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
-    base = dict(system=default_system(), grid=(8, 8), replicates=150,
+    base = dict(system=default_system(), grid=GridSpec(8, 8), replicates=150,
                 seed=99, sweep=default_sweep(), output_path=None)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -133,7 +133,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.grid == (32, 32)
+        assert cfg.grid == GridSpec(32, 32)
         assert cfg.replicates == 10000
         assert cfg.system.array.m == 32
         assert cfg.system.correlation.kind is CorrelationKind.JAKES
@@ -189,8 +189,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"replicates": 1.5}, {"replicates": 0}, {"seed": 2.0}, {"seed": -1},
-        {"grid": (8, 8.5)}, {"grid": (1, 8)}, {"replicates": 1},
-        {"grid": (99999999999999999999, 2)},
+        {"grid": (8, 8)}, {"grid": {"nx": 8, "ny": 8}}, {"replicates": 1}, {"grid": None},
     ])
     def test_experiment_config_domain(self, overrides):
         with pytest.raises(ConfigError):
@@ -343,7 +342,7 @@ class TestScenarios:
             system = cli._point(cfg.system, area=0.1, aspect=aspect, model=model)
             snr = snr_moments(system)
             fit = gamma_fit(snr.mu1, snr.mu2)
-            batch = run_replicates(system, make_grid(system.geometry, 8, 8), 400,
+            batch = run_replicates(system, GridSpec(8, 8), 400,
                                    cli._point_seed(cfg.seed, 4, index))
             ecdf = EmpiricalCdf(batch.snr_samples)
             for t_db in thresholds:
@@ -439,7 +438,7 @@ class TestValidate:
         assert len(builds) == 1
         (oracle, batch), = batches
         system, grid = oracle.cfg, oracle.sampler.grid
-        assert system == cfg.system and grid == make_grid(system.geometry, *cfg.grid)
+        assert system == cfg.system and grid == cfg.grid
         monkeypatch.undo()
         expect = run_replicates(system, grid, batch.n, batch.seed)
         assert np.array_equal(batch.y_samples, expect.y_samples)
@@ -546,13 +545,20 @@ class TestMain:
         assert code == 2
         assert "config error" in err and "transmit_snr" in err and "Traceback" not in err
 
-    # sizes numpy cannot index, each rejected before anything is allocated
+    # sizes numpy cannot index, a grid side below 2, and surfaces whose area
+    # leaves (0, inf) although each side is positive and finite: each is
+    # rejected before anything is allocated
     @pytest.mark.parametrize("args,document", [
         (["--validate", "--grid", "99999999999999999999x2"], None),
         (["--validate"], {"grid": {"nx": 1e20}}),
         (["--validate"], {"system": {"array": {"m_x": 1e20}}}),
         (["--scenario", "fig2", "--replicates", "99999999999999999999"], None),
-    ], ids=["grid_flag", "grid_config", "antennas", "replicates"])
+        (["--validate", "--grid", "1x8"], None),
+        (["--validate"], {"grid": {"nx": 1}}),
+        (["--validate"], {"system": {"geometry": {"width_m": 1e-200, "height_m": 1e-200}}}),
+        (["--validate"], {"system": {"geometry": {"width_m": 1e200, "height_m": 1e200}}}),
+    ], ids=["grid_flag", "grid_config", "antennas", "replicates", "grid_flag_1x8",
+            "grid_config_nx_1", "zero_area", "infinite_area"])
     def test_unindexable_sizes_exit_2(self, tmp_path, capsys, args, document):
         out = tmp_path / "x.csv"
         path = tmp_path / "cfg.json"

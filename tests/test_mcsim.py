@@ -14,7 +14,6 @@ from contris.mcsim import (
     build_surface_covariance,
     compute_Y,
     direct_factor,
-    make_grid,
     optimal_phase_profile,
     optimal_snr_sample,
     run_replicates,
@@ -98,28 +97,33 @@ def field_draws(oracle, n, seed):
 class TestGrid:
     def test_cell_area(self):
         geom = SurfaceGeometry(2.0, 1.0)
-        grid = make_grid(geom, 8, 4)
-        assert grid.cell_area == pytest.approx(2.0 / 32.0)
+        grid = GridSpec(8, 4)
+        assert grid.cell_area(geom) == 2.0 / 32.0
         assert grid.n_points == 32
+        sampler = build_surface_covariance(geom, grid, jakes(0.0), BETA_UR)
+        assert sampler.cell_area == grid.cell_area(geom)
 
     def test_minimum_size(self):
         with pytest.raises(DomainError):
-            make_grid(SurfaceGeometry(1.0, 1.0), 1, 4)
+            GridSpec(1, 4)
 
-    @pytest.mark.parametrize("nx,ny,cell_area", [
+    @pytest.mark.parametrize("nx,ny,width", [
         (2.5, 3, 0.1), (3.0, 3, 0.1), (3, 4.0, 0.1), (3, 3, math.inf), (3, 3, math.nan)])
-    def test_non_integral_counts_and_non_finite_area_rejected(self, nx, ny, cell_area):
+    def test_non_integral_counts_and_non_finite_area_rejected(self, nx, ny, width):
+        # a grid holds only its sides; a non-finite surface is rejected by
+        # its geometry before a cell area is taken
         with pytest.raises(DomainError):
-            GridSpec(nx=nx, ny=ny, cell_area=cell_area)
+            GridSpec(nx, ny).cell_area(SurfaceGeometry(width, 1.0))
 
     def test_side_at_most_max_side(self):
         # constructs the spec only; a 256x256 grid's factors would take ~9 GB
-        assert GridSpec(nx=256, ny=2, cell_area=0.1).n_points == 512
-        with pytest.raises(DomainError):
-            GridSpec(nx=257, ny=2, cell_area=0.1)
+        assert GridSpec(256, 2).n_points == 512
+        for nx in (257, 99999999999999999999):
+            with pytest.raises(DomainError):
+                GridSpec(nx, 2)
 
     def test_numpy_integer_counts_accepted(self):
-        assert GridSpec(nx=np.int64(3), ny=np.int32(4), cell_area=0.1).n_points == 12
+        assert GridSpec(np.int64(3), np.int32(4)).n_points == 12
 
     def test_suggest_grid_resolves_correlation(self):
         geom = SurfaceGeometry(2.0, 0.1)
@@ -135,11 +139,11 @@ class TestGrid:
                              ids=["jakes0", "jakes1", "sinc05"])
     def test_grid_moment_equals_offset_table(self, nx, ny, model):
         geom = SurfaceGeometry(0.7, 0.3)
-        m2 = moment_m2_grid(geom, model, BETA_UR, nx, ny)
+        m2 = moment_m2_grid(geom, model, BETA_UR, GridSpec(nx, ny))
         assert m2 == pytest.approx(offset_table_m2(geom, model, BETA_UR, nx, ny), rel=1e-14)
         if nx * ny <= 64:
             # the same sum over every ordered pair of cells, without offsets
-            corr = dense_correlation(geom, make_grid(geom, nx, ny), model)
+            corr = dense_correlation(geom, GridSpec(nx, ny), model)
             kernel = 0.25 * math.pi * BETA_UR * gauss_2f1_half(np.clip(corr * corr, 0.0, 1.0))
             assert m2 == pytest.approx((geom.area_m2 / (nx * ny)) ** 2 * kernel.sum(),
                                        rel=1e-13)
@@ -147,13 +151,14 @@ class TestGrid:
     @pytest.mark.parametrize("nx,ny,beta_ur", [
         (0, 3, BETA_UR), (3, 2.0, BETA_UR), (3, 3, 0.0), (3, 3, math.nan)])
     def test_grid_moment_domain(self, nx, ny, beta_ur):
+        # the sides follow GridSpec's rule, applied as the grid is built
         with pytest.raises(DomainError):
-            moment_m2_grid(small_geom(), jakes(1.0), beta_ur, nx, ny)
+            moment_m2_grid(small_geom(), jakes(1.0), beta_ur, GridSpec(nx, ny))
 
 
 class TestSurfaceCovariance:
     def test_perfect_correlation_rank_one(self, rng):
-        sampler = build_surface_covariance(small_geom(), make_grid(small_geom(), 4, 4),
+        sampler = build_surface_covariance(small_geom(), GridSpec(4, 4),
                                            jakes(0.0), BETA_UR)
         assert sampler.rank == 1
         fields = sample_field(sampler, rng.standard_normal((1, 6)))
@@ -162,14 +167,14 @@ class TestSurfaceCovariance:
 
     def test_marginal_variance_exact(self):
         geom = small_geom()
-        sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
+        sampler = build_surface_covariance(geom, GridSpec(8, 8), jakes(), BETA_UR)
         factor = sampler.apply(np.eye(sampler.rank))
         diag = (factor * factor).sum(axis=1)
         assert np.max(np.abs(diag - BETA_UR)) <= 1e-12 * BETA_UR
 
     def test_reconstruction_and_clipped_mass(self):
         geom = small_geom()
-        grid = make_grid(geom, 16, 16)
+        grid = GridSpec(16, 16)
         sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
         assert sampler.clipped_mass < 1e-9
         cov = BETA_UR * dense_correlation(geom, grid, jakes())
@@ -179,7 +184,7 @@ class TestSurfaceCovariance:
 
     def test_cached_blocks_reject_writes(self):
         geom = small_geom()
-        sampler = build_surface_covariance(geom, make_grid(geom, 8, 8), jakes(), BETA_UR)
+        sampler = build_surface_covariance(geom, GridSpec(8, 8), jakes(), BETA_UR)
         for block in sampler.blocks:
             with pytest.raises(ValueError):
                 block[0, 0] = 1.0
@@ -196,7 +201,7 @@ class TestSurfaceCovariance:
         blocks = mcsim.surface_blocks
         monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args)
                             or blocks(*args))
-        grid = make_grid(paper_system.geometry, 16, 16)
+        grid = GridSpec(16, 16)
         systems = [dataclasses.replace(paper_system, link=dataclasses.replace(
             paper_system.link, d_y_m=d_y, d_rb_m=d_rb, d_x_m=d_x))
             for d_y, d_rb, d_x in (SETUPS[name] for name in "ABC")]
@@ -216,7 +221,7 @@ class TestSurfaceCovariance:
         monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args)
                             or blocks(*args))
         geom = small_geom()
-        grid = make_grid(geom, 8, 8)
+        grid = GridSpec(8, 8)
         sinc = IsotropicCorrelation(CorrelationKind.SINC, 1.0, WAVELENGTH)
         for model in (jakes(), sinc, sinc, jakes()):
             build_surface_covariance(geom, grid, model, BETA_UR)
@@ -231,7 +236,7 @@ class TestSurfaceCovariance:
         # surface has eigenvalue clusters near the default cut.
         system = dataclasses.replace(paper_system, correlation=dataclasses.replace(
             paper_system.correlation, kind=CorrelationKind.SINC))
-        grid = make_grid(system.geometry, 32, 32)
+        grid = GridSpec(32, 32)
         # the union spectrum as _unit_factors computes and orders it
         spectrum = np.maximum(np.concatenate([
             np.linalg.eigh(0.5 * (block + block.T))[0]
@@ -256,7 +261,7 @@ class TestSurfaceCovariance:
     @pytest.mark.parametrize("nx,ny", [(7, 7), (8, 8), (8, 5), (5, 6), (2, 2)])
     def test_blocks_match_dense_reflection_basis(self, kind, nx, ny):
         geom = SurfaceGeometry(0.5, 0.3)
-        grid = make_grid(geom, nx, ny)
+        grid = GridSpec(nx, ny)
         model = IsotropicCorrelation(kind, 1.0, WAVELENGTH)
         corr = dense_correlation(geom, grid, model)
         bases = [np.kron(reflection_basis(nx, sx), reflection_basis(ny, sy))
@@ -282,7 +287,7 @@ class TestSurfaceCovariance:
     def test_field_statistics(self, paper_system):
         geom = small_geom()
         oracle = Oracle.build(dataclasses.replace(paper_system, geometry=geom),
-                              make_grid(geom, 8, 8))
+                              GridSpec(8, 8))
         n = 20000
         draws = field_draws(oracle, n, 5)
         power = np.abs(draws[0]) ** 2
@@ -293,21 +298,24 @@ class TestSurfaceCovariance:
 
 
 class TestComputeY:
+    @staticmethod
+    def _sampler(geom):
+        return build_surface_covariance(geom, GridSpec(4, 4), jakes(0.0), BETA_UR)
+
     def test_unit_field(self):
         geom = SurfaceGeometry(2.0, 1.5)
-        grid = make_grid(geom, 4, 4)
-        fields = np.ones((grid.n_points, 3), dtype=complex)
-        assert compute_Y(fields, grid) == pytest.approx([geom.area_m2] * 3, rel=1e-14)
+        y = compute_Y(np.ones((16, 3), dtype=complex), self._sampler(geom))
+        assert y == pytest.approx([geom.area_m2] * 3, rel=1e-14)
 
     def test_zero_field(self):
-        grid = make_grid(SurfaceGeometry(1.0, 1.0), 4, 4)
-        assert np.array_equal(compute_Y(np.zeros((16, 2), dtype=complex), grid), [0.0, 0.0])
+        sampler = self._sampler(SurfaceGeometry(1.0, 1.0))
+        assert np.array_equal(compute_Y(np.zeros((16, 2), dtype=complex), sampler), [0.0, 0.0])
 
     def test_dimension_mismatch(self):
-        grid = make_grid(SurfaceGeometry(1.0, 1.0), 4, 4)
+        sampler = self._sampler(SurfaceGeometry(1.0, 1.0))
         for shape in ((15, 1), (16,)):
             with pytest.raises(DomainError):
-                compute_Y(np.zeros(shape, dtype=complex), grid)
+                compute_Y(np.zeros(shape, dtype=complex), sampler)
 
     def test_mean_matches_closed_form_any_grid(self, paper_system, batches):
         gains = derive_gains(paper_system)
@@ -399,7 +407,7 @@ class TestPhaseProfile:
         # the 256 fields and direct channels of one replicate block
         geom = small_geom()
         oracle = Oracle.build(dataclasses.replace(system, geometry=geom),
-                              make_grid(geom, 6, 6))
+                              GridSpec(6, 6))
         coeffs, h_d = oracle.draw_block(1234, 0)
         return oracle, sample_field(oracle.sampler, coeffs), h_d, oracle.a_b
 
@@ -422,7 +430,7 @@ class TestPhaseProfile:
         system, grid = oracle.cfg, oracle.sampler.grid
         phases = optimal_phase_profile(fields, h_d, a_b)
         via_profile = snr_under_profile(fields, h_d, a_b, phases, system, grid)
-        expanded = optimal_snr_sample(h_d, compute_Y(fields, grid), a_b, system)
+        expanded = optimal_snr_sample(h_d, compute_Y(fields, oracle.sampler), a_b, system)
         assert np.max(np.abs(via_profile - expanded) / expanded) <= 1e-10
 
     def test_dominates_random_profiles(self, paper_system, rng):
@@ -455,10 +463,11 @@ class TestSnrSample:
     def test_expansion_equals_norm_form(self, paper_system, rng):
         # the norm form is the SNR under the optimal profile of some field
         a_b = steering_vector(paper_system.array)
-        grid = make_grid(paper_system.geometry, 4, 4)
+        grid = GridSpec(4, 4)
+        sampler = Oracle.build(paper_system, grid).sampler
         h_d = (rng.standard_normal((32, 50)) + 1j * rng.standard_normal((32, 50))) * 1e-6
         fields = (rng.standard_normal((16, 50)) + 1j * rng.standard_normal((16, 50))) * 1e-3
-        expanded = optimal_snr_sample(h_d, compute_Y(fields, grid), a_b, paper_system)
+        expanded = optimal_snr_sample(h_d, compute_Y(fields, sampler), a_b, paper_system)
         phases = optimal_phase_profile(fields, h_d, a_b)
         norm = snr_under_profile(fields, h_d, a_b, phases, paper_system, grid)
         assert np.all(np.abs(expanded - norm) <= 1e-10 * expanded)
@@ -476,7 +485,7 @@ class TestSnrSample:
 
 class TestRunReplicates:
     def test_deterministic_rerun(self, paper_system):
-        grid = make_grid(paper_system.geometry, 8, 8)
+        grid = GridSpec(8, 8)
         a = run_replicates(paper_system, grid, 100, 42)
         b = run_replicates(paper_system, grid, 100, 42)
         assert np.array_equal(a.snr_samples, b.snr_samples)
@@ -499,7 +508,7 @@ class TestRunReplicates:
                   "s = cli.default_system()\n"
                   "s = dataclasses.replace(s, correlation=dataclasses.replace(\n"
                   "    s.correlation, kind=CorrelationKind(sys.argv[2])))\n"
-                  "grid = mcsim.make_grid(s.geometry, 32, 32)\n"
+                  "grid = mcsim.GridSpec(32, 32)\n"
                   "np.save(sys.argv[1], mcsim.run_replicates(s, grid, 600, 3).y_samples)\n")
         package_root = os.path.dirname(os.path.dirname(contris.__file__))
         batches = []
@@ -514,7 +523,7 @@ class TestRunReplicates:
         assert np.allclose(batches[0], batches[1], rtol=1e-6, atol=0.0)
 
     def test_prefix_stability_within_block(self, paper_system):
-        grid = make_grid(paper_system.geometry, 8, 8)
+        grid = GridSpec(8, 8)
         short = run_replicates(paper_system, grid, 40, 42)
         long = run_replicates(paper_system, grid, 90, 42)
         assert np.array_equal(short.snr_samples, long.snr_samples[:40])
@@ -523,22 +532,17 @@ class TestRunReplicates:
     @pytest.mark.parametrize("n_short,n_long",
                              [(300, 520), (255, 257), (256, 513), (1, 512)])
     def test_prefix_stability_across_blocks(self, paper_system, n_short, n_long):
-        grid = make_grid(paper_system.geometry, 8, 8)
+        grid = GridSpec(8, 8)
         short = run_replicates(paper_system, grid, n_short, 42)
         long = run_replicates(paper_system, grid, n_long, 42)
         assert np.array_equal(short.snr_samples, long.snr_samples[:n_short])
         assert np.array_equal(short.y_samples, long.y_samples[:n_short])
 
     def test_seed_changes_samples(self, paper_system):
-        grid = make_grid(paper_system.geometry, 8, 8)
+        grid = GridSpec(8, 8)
         a = run_replicates(paper_system, grid, 50, 1)
         b = run_replicates(paper_system, grid, 50, 2)
         assert not np.array_equal(a.snr_samples, b.snr_samples)
-
-    def test_grid_geometry_mismatch(self, paper_system):
-        foreign = make_grid(SurfaceGeometry(1.0, 1.0), 8, 8)
-        with pytest.raises(DomainError):
-            run_replicates(paper_system, foreign, 10, 0)
 
     @pytest.mark.parametrize("n,seed", [(10.5, 0), (10.0, 0), (0, 0), (10, 1.5), (10, -1)])
     def test_non_integral_or_out_of_range_n_and_seed_rejected(self, paper_system, n, seed,
@@ -546,7 +550,7 @@ class TestRunReplicates:
         # rejected before any factor is built
         calls = []
         monkeypatch.setattr(mcsim, "surface_blocks", lambda *args: calls.append(args))
-        grid = make_grid(paper_system.geometry, 4, 4)
+        grid = GridSpec(4, 4)
         with pytest.raises(DomainError):
             run_replicates(paper_system, grid, n, seed)
         assert calls == []
@@ -564,17 +568,17 @@ class TestRunReplicates:
             monkeypatch.setattr(mcsim, "_CHUNK", 1)
         system = dataclasses.replace(
             paper_system, correlation=dataclasses.replace(paper_system.correlation, kind=kind))
-        grid = make_grid(system.geometry, nx, ny)
+        grid = GridSpec(nx, ny)
         n, seed = 300, 8
         oracle = Oracle.build(system, grid)
         y = oracle.batch(n, seed).y_samples
-        expect = compute_Y(field_draws(oracle, n, seed), grid)
+        expect = compute_Y(field_draws(oracle, n, seed), oracle.sampler)
         assert np.max(np.abs(y - expect) / expect) <= 1e-13
 
     def test_block_field_rows_do_not_depend_on_the_array(self, paper_system):
         # a block's normals are one C-order draw whose field rows lead, and a
         # C-order normal draw is a row prefix of a taller one
-        grid = make_grid(paper_system.geometry, 8, 8)
+        grid = GridSpec(8, 8)
         single = dataclasses.replace(paper_system, array=BsArrayConfig(m_x=1, m_z=1))
         coeffs, h_d = Oracle.build(paper_system, grid).draw_block(42, 3)
         alone, h_one = Oracle.build(single, grid).draw_block(42, 3)
@@ -589,7 +593,7 @@ class TestRunReplicates:
         system = dataclasses.replace(
             paper_system,
             correlation=dataclasses.replace(paper_system.correlation, kind=CorrelationKind.SINC))
-        grid = make_grid(system.geometry, 49, 49)
+        grid = GridSpec(49, 49)
         run_replicates(system, grid, 512, 1)
         tracemalloc.start()
         try:
@@ -600,7 +604,7 @@ class TestRunReplicates:
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
     def test_summaries_need_two_replicates(self, paper_system):
-        batch = run_replicates(paper_system, make_grid(paper_system.geometry, 4, 4), 1, 0)
+        batch = run_replicates(paper_system, GridSpec(4, 4), 1, 0)
         with pytest.raises(DomainError):
             batch.summaries()
 
@@ -620,8 +624,8 @@ class TestRunReplicates:
         m1 = moment_m1(geom, beta_ur)
         target = moment_m2_iso(geom, paper_system.correlation, beta_ur) - m1 ** 2
         sides = (8, 16, 32, 64)
-        exact = [moment_m2_grid(geom, paper_system.correlation, beta_ur, side, side) - m1 ** 2
-                 for side in sides]
+        exact = [moment_m2_grid(geom, paper_system.correlation, beta_ur, GridSpec(side, side))
+                 - m1 ** 2 for side in sides]
         gaps = [abs(v - target) for v in exact]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
         assert gaps[3] < 1e-3 * target
@@ -659,7 +663,7 @@ class TestEmpiricalCdf:
 
 @pytest.mark.parametrize("call", [
     lambda system: build_surface_covariance(
-        small_geom(), make_grid(small_geom(), 4, 4), jakes(), math.inf),
+        small_geom(), GridSpec(4, 4), jakes(), math.inf),
     lambda system: optimal_snr_sample(
         np.zeros((32, 2), dtype=complex), np.array([1e-4, -1e-4]),
         steering_vector(system.array), system),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ class TestSurfaceGeometry:
     def test_invalid(self, w, h):
         with pytest.raises(DomainError):
             SurfaceGeometry(w, h)
+
+    # each side is positive and finite, but the area underflows to 0 or
+    # overflows; at the float maximum the diagonal overflows as well
+    @pytest.mark.parametrize("side", [1e-200, 1e200, sys.float_info.max])
+    def test_area_out_of_range(self, side):
+        with pytest.raises(DomainError, match="area"):
+            SurfaceGeometry(side, side)
+
+    def test_largest_finite_area_keeps_a_finite_diagonal(self):
+        geom = SurfaceGeometry(sys.float_info.max, 1.0)
+        assert math.isfinite(geom.area_m2) and math.isfinite(geom.diagonal_m)
 
 
 def gains_of(**link):
