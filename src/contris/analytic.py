@@ -346,11 +346,13 @@ def snr_pair(terms: LinkTerms, y: YMoments) -> tuple[float, float]:
 
 def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
     """Mean of the optimal SNR for a full system configuration."""
+    # kept for the callers in perfbench/
     return snr_pair(link_terms(cfg), YMoments(m1, m2))[0]
 
 
 def second_moment_snr(cfg: SystemConfig, moments: YMoments) -> float:
     """Second moment of the optimal SNR for a full system configuration."""
+    # kept for the callers in perfbench/
     return snr_pair(link_terms(cfg), moments)[1]
 
 

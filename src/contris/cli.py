@@ -91,10 +91,8 @@ from .mcsim import (
     EmpiricalCdf,
     GridSpec,
     Oracle,
-    optimal_phase_profile,
     run_replicates,
     sample_field,
-    snr_under_profile,
 )
 from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .sysmodel import (
@@ -586,8 +584,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         coeffs, h_d = oracle.draw_block(batch.seed, 0)
         k = min(batch.n, h_d.shape[1])
         fields, h_d = sample_field(oracle.sampler, coeffs)[:, :k], h_d[:, :k]
-        phases = optimal_phase_profile(fields, h_d, oracle.a_b)
-        norm = snr_under_profile(fields, h_d, oracle.a_b, phases, system, cfg.grid)
+        norm = oracle.snr_under(fields, h_d, oracle.optimal_phases(fields, h_d))
         return np.max(np.abs(batch.snr_samples[:k] - norm) / norm)
 
     record("snr_expansion_identity_rel", snr_identity, 1e-10)

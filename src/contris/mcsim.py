@@ -18,7 +18,9 @@ is used.  Its rank is cut by tail mass: the smallest eigenvalues whose sum
 is at most 1e-12 of the spectrum's total are dropped.
 
 Every sample is drawn by :meth:`Oracle.draw_block`, one fixed block of
-256 replicates at a time, and every per-draw function takes column blocks.
+256 replicates at a time, and scored by the same oracle: :meth:`Oracle.snr`
+from Y, or :meth:`Oracle.snr_under` phases such as
+:meth:`Oracle.optimal_phases`.  Every per-draw function takes column blocks.
 
 Determinism contract: in block b, parity block k of the field draws from
 its own substream seeded by (master seed, b, k) and the direct channel
@@ -65,9 +67,6 @@ __all__ = [
     "compute_Y",
     "sample_direct_channel",
     "direct_factor",
-    "optimal_phase_profile",
-    "optimal_snr_sample",
-    "snr_under_profile",
     "Oracle",
     "run_replicates",
 ]
@@ -417,9 +416,13 @@ def sample_field(sampler: FieldSampler, coeffs: np.ndarray) -> np.ndarray:
 def compute_Y(fields: np.ndarray, sampler: FieldSampler) -> np.ndarray:
     """Riemann sums of the field magnitudes over the sampler's surface, (k,)
     for fields (n_points, k)."""
+    _check_fields(fields, sampler)
+    return sampler.cell_area * np.abs(fields).sum(axis=0)
+
+
+def _check_fields(fields: np.ndarray, sampler: FieldSampler) -> None:
     if np.ndim(fields) != 2 or fields.shape[0] != sampler.grid.n_points:
         raise DomainError("fields must have one row per grid point")
-    return sampler.cell_area * np.abs(fields).sum(axis=0)
 
 
 def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -429,56 +432,6 @@ def sample_direct_channel(factor: np.ndarray, normals: np.ndarray) -> np.ndarray
     h = factor @ normals
     k = normals.shape[1] // 2
     return h[:, :k] + 1j * h[:, k:]
-
-
-def optimal_phase_profile(
-    fields: np.ndarray, h_d: np.ndarray, a_b: np.ndarray,
-) -> np.ndarray:
-    """SNR-maximizing unit-modulus phases, (n_points, k), for fields
-    (n_points, k) and direct channels (M, k): cancel each field's phase and
-    align with its direct channel's projection on the steering vector.
-
-    An exactly zero projection, a probability-zero event, aligns with 1.
-    """
-    proj = a_b.conj() @ h_d
-    magnitude = np.abs(proj)
-    omega = np.divide(proj, magnitude, out=np.ones_like(proj), where=magnitude > 0.0)
-    return omega * np.exp(-1j * np.angle(fields))
-
-
-def optimal_snr_sample(h_d: np.ndarray, y, a_b: np.ndarray, cfg: SystemConfig):
-    """Post-design SNR in expanded form: gamma (||h_d||^2 + M beta_rb Y^2
-    + 2 sqrt(beta_rb) Y |a^H h_d|).
-
-    Scores one draw, h_d of shape (M,) with a scalar Y, or a block of
-    draws, the columns of h_d with an array of as many Y values.  Equals
-    :func:`snr_under_profile` under :func:`optimal_phase_profile` up to
-    roundoff.
-    """
-    if not np.all(y >= 0.0):  # also NaN
-        raise DomainError("Y must be >= 0")
-    beta_rb = derive_gains(cfg).beta_rb
-    hd_power = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
-    proj_mag = np.abs(a_b.conj() @ h_d)
-    return cfg.transmit_snr * (
-        hd_power + a_b.size * beta_rb * y * y + 2.0 * math.sqrt(beta_rb) * y * proj_mag)
-
-
-def snr_under_profile(
-    fields: np.ndarray,
-    h_d: np.ndarray,
-    a_b: np.ndarray,
-    phases: np.ndarray,
-    cfg: SystemConfig,
-    grid: GridSpec,
-) -> np.ndarray:
-    """SNR under unit-modulus reflection phases, (k,), for the columns of
-    fields (n_points, k), direct channels (M, k) and phases (n_points, k);
-    a single column of fields and channels broadcasts against k phases."""
-    beta_rb = derive_gains(cfg).beta_rb
-    reflected = grid.cell_area(cfg.geometry) * (phases * fields).sum(axis=0)
-    h = h_d + math.sqrt(beta_rb) * np.outer(a_b, reflected)
-    return cfg.transmit_snr * (h.real ** 2 + h.imag ** 2).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -549,7 +502,10 @@ _BLOCK = 256
 @dataclass(frozen=True)
 class Oracle:
     """The Monte Carlo oracle of one system on one grid: its surface
-    sampler, array :func:`direct_factor` and steering vector, built once.
+    sampler, array :func:`direct_factor`, steering vector and gain beta_rb,
+    built once.  It scores its own draws: :meth:`snr` by the expansion in
+    Y, :meth:`snr_under` by the norm form under phases such as
+    :meth:`optimal_phases`.
 
     Block b of the batch with a master seed, replicates 256 b to 256 b +
     255, is ``draw_block(seed, b)``, always drawn in full, so a batch is a
@@ -562,6 +518,7 @@ class Oracle:
     sampler: FieldSampler
     direct: np.ndarray
     a_b: np.ndarray
+    beta_rb: float
 
     @classmethod
     def build(cls, cfg: SystemConfig, grid: GridSpec) -> Oracle:
@@ -573,7 +530,8 @@ class Oracle:
                                              gains.beta_ur),
             direct=direct_factor(bs_correlation_matrix(cfg.array, cfg.bs_correlation),
                                  gains.beta_d),
-            a_b=steering_vector(cfg.array))
+            a_b=steering_vector(cfg.array),
+            beta_rb=gains.beta_rb)
 
     def draw_block(self, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Replicate block ``index`` of the batch with master ``seed``: its
@@ -615,10 +573,50 @@ class Oracle:
             rows = slice(start, start + _BLOCK)
             y[rows] = self.sampler.abs_sums(coeffs)
             with np.errstate(over="ignore"):
-                snr[rows] = optimal_snr_sample(h_d, y[rows], self.a_b, self.cfg)
+                snr[rows] = self.snr(h_d, y[rows])
         if not np.all(np.isfinite(snr)):
             raise DomainError(f"{_SNR_OVERFLOW}: an SNR sample overflows")
         return ReplicateBatch(n=n, snr_samples=snr[:n], y_samples=y[:n], seed=seed)
+
+    def snr(self, h_d: np.ndarray, y):
+        """Post-design SNR in expanded form: gamma (||h_d||^2 + M beta_rb Y^2
+        + 2 sqrt(beta_rb) Y |a^H h_d|).
+
+        Scores one draw, h_d of shape (M,) with a scalar Y, or a block of
+        draws, the columns of h_d with an array of as many Y values.  Equals
+        :meth:`snr_under` under :meth:`optimal_phases` up to roundoff.
+        """
+        if not np.all(y >= 0.0):  # also NaN
+            raise DomainError("Y must be >= 0")
+        hd_power = (h_d.real ** 2 + h_d.imag ** 2).sum(axis=0)
+        proj_mag = np.abs(self.a_b.conj() @ h_d)
+        return self.cfg.transmit_snr * (
+            hd_power + self.a_b.size * self.beta_rb * y * y
+            + 2.0 * math.sqrt(self.beta_rb) * y * proj_mag)
+
+    def optimal_phases(self, fields: np.ndarray, h_d: np.ndarray) -> np.ndarray:
+        """SNR-maximizing unit-modulus phases, (n_points, k), for fields
+        (n_points, k) and direct channels (M, k): cancel each field's phase
+        and align with its direct channel's projection on the steering
+        vector.
+
+        An exactly zero projection, a probability-zero event, aligns with 1.
+        """
+        proj = self.a_b.conj() @ h_d
+        magnitude = np.abs(proj)
+        omega = np.divide(proj, magnitude, out=np.ones_like(proj), where=magnitude > 0.0)
+        return omega * np.exp(-1j * np.angle(fields))
+
+    def snr_under(self, fields: np.ndarray, h_d: np.ndarray,
+                  phases: np.ndarray) -> np.ndarray:
+        """SNR under unit-modulus reflection phases, (k,), for the columns of
+        fields (n_points, k) on this oracle's grid, direct channels (M, k)
+        and phases (n_points, k); a single column of fields and channels
+        broadcasts against k phases."""
+        _check_fields(fields, self.sampler)
+        reflected = self.sampler.cell_area * (phases * fields).sum(axis=0)
+        h = h_d + math.sqrt(self.beta_rb) * np.outer(self.a_b, reflected)
+        return self.cfg.transmit_snr * (h.real ** 2 + h.imag ** 2).sum(axis=0)
 
 
 def _check_batch(n, seed) -> None:

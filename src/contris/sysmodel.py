@@ -70,7 +70,8 @@ class SurfaceGeometry:
 
     @property
     def area_m2(self) -> float:
-        return self.width_m * self.height_m
+        # Python floats overflow to inf silently, numpy scalars with a warning
+        return float(self.width_m) * float(self.height_m)
 
     @property
     def diagonal_m(self) -> float:

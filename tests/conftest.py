@@ -3,10 +3,33 @@ import pytest
 
 from contris import mcsim
 from contris.cli import default_system
+from contris.sysmodel import CorrelationKind, IsotropicCorrelation
 
 # one master seed for every cached Monte Carlo run; identical (system, grid,
 # n) requests across test modules share the same batch
 MASTER_SEED = 1234
+
+# the default carrier's wavelength, and the default system's beta_ur
+WAVELENGTH = 299792458.0 / 5.8e9
+BETA_UR = 4.196737608386484e-06
+
+
+def jakes(kappa=1.0):
+    return IsotropicCorrelation(CorrelationKind.JAKES, kappa, WAVELENGTH)
+
+
+def sinc_model(kappa=1.0):
+    return IsotropicCorrelation(CorrelationKind.SINC, kappa, WAVELENGTH)
+
+
+class ZeroCorrelation:
+    """Synthetic model: perfectly uncorrelated except at zero separation."""
+
+    kappa = 0.0
+
+    def rho(self, r):
+        arr = np.asarray(r, dtype=float)
+        return np.where(arr == 0.0, 1.0, 0.0)
 
 
 @pytest.fixture(scope="session")

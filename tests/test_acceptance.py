@@ -26,16 +26,8 @@ from contris.analytic import (
     se_bound,
     snr_moments,
 )
-from contris.cli import SETUPS, default_system
-from contris.mcsim import (
-    EmpiricalCdf,
-    GridSpec,
-    Oracle,
-    optimal_phase_profile,
-    sample_field,
-    snr_under_profile,
-    suggest_grid,
-)
+from contris.cli import _point, default_system
+from contris.mcsim import EmpiricalCdf, GridSpec, Oracle, sample_field, suggest_grid
 from contris.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from contris.sysmodel import (
     CorrelationKind,
@@ -44,9 +36,8 @@ from contris.sysmodel import (
     derive_gains,
 )
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, WAVELENGTH, ZeroCorrelation
 
-WAVELENGTH = 299792458.0 / 5.8e9
 UNIT_SQUARE_MEAN_SEPARATION = 0.52140543316472067833
 
 
@@ -55,40 +46,13 @@ def _report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _geometry(area: float, aspect: float = 1.0) -> SurfaceGeometry:
-    width = math.sqrt(aspect * area)
-    return SurfaceGeometry(width, area / width)
-
-
-def _system(area: float, kind: CorrelationKind, kappa: float = 1.0,
-            aspect: float = 1.0, setup: str | None = None):
-    system = default_system()
-    system = dataclasses.replace(system, geometry=_geometry(area, aspect))
-    system = dataclasses.replace(
-        system,
-        correlation=dataclasses.replace(system.correlation, kind=kind, kappa=kappa),
-        bs_correlation=dataclasses.replace(system.bs_correlation, kind=kind,
-                                           kappa=kappa))
-    if setup is not None:
-        d_y, d_rb, d_x = SETUPS[setup]
-        system = dataclasses.replace(
-            system, link=dataclasses.replace(system.link, d_y_m=d_y,
-                                             d_rb_m=d_rb, d_x_m=d_x))
-    return system
-
-
-class ZeroCorrelation:
-    def rho(self, r):
-        arr = np.asarray(r, dtype=float)
-        return np.where(arr == 0.0, 1.0, 0.0)
-
-
 def test_criterion_1_moment_oracle_equivalence():
-    beta_ur = derive_gains(_system(0.2, CorrelationKind.JAKES)).beta_ur
+    beta_ur = derive_gains(_point(default_system(), area=0.2,
+                                  model=CorrelationKind.JAKES)).beta_ur
     worst = 0.0
     worst_case = ""
     for aspect in (1.0, 2.0, 20.0, 50.0):
-        geom = _geometry(0.2, aspect)
+        geom = _point(default_system(), area=0.2, aspect=aspect).geometry
         for kind in (CorrelationKind.SINC, CorrelationKind.JAKES):
             for kappa in (0.1, 0.5, 1.0):
                 model = IsotropicCorrelation(kind, kappa, WAVELENGTH)
@@ -102,8 +66,9 @@ def test_criterion_1_moment_oracle_equivalence():
 
 
 def test_criterion_2_closed_form_corners():
-    geom = _geometry(0.2)
-    beta_ur = derive_gains(_system(0.2, CorrelationKind.JAKES)).beta_ur
+    system = _point(default_system(), area=0.2, model=CorrelationKind.JAKES)
+    geom = system.geometry
+    beta_ur = derive_gains(system).beta_ur
     frozen = IsotropicCorrelation(CorrelationKind.JAKES, 0.0, WAVELENGTH)
     exact = beta_ur * geom.area_m2 ** 2
     rel_iso = abs(moment_m2_iso(geom, frozen, beta_ur) - exact) / exact
@@ -117,7 +82,7 @@ def test_criterion_2_closed_form_corners():
 
 
 def test_criterion_3_mean_y_exactness(batches):
-    system = _system(0.4, CorrelationKind.JAKES)
+    system = _point(default_system(), area=0.4, model=CorrelationKind.JAKES)
     m1 = moment_m1(system.geometry, derive_gains(system).beta_ur)
     zs = []
     for side in (16, 64):
@@ -135,7 +100,7 @@ def test_criterion_4_mean_snr_and_area_scaling(batches):
     for kind in (CorrelationKind.SINC, CorrelationKind.JAKES):
         mu1s = []
         for area in areas:
-            system = _system(area, kind)
+            system = _point(default_system(), area=area, model=kind)
             mu1 = snr_moments(system).mu1
             mu1s.append(mu1)
             s = batches(system, 64, 64, 10 ** 4).summaries()
@@ -157,7 +122,8 @@ def test_criterion_5_jensen_bound_and_det_ordering(batches):
     jensen_ok = True
     detail_parts = []
     for kappa in kappas:
-        system = _system(0.4, CorrelationKind.JAKES, kappa=kappa)
+        system = _point(default_system(), area=0.4, model=CorrelationKind.JAKES,
+                        kappa=kappa)
         mu1, mu2 = dataclasses.astuple(snr_moments(system))
         seb = se_bound(mu1)
         det = dominant_error_term(mu1, mu2)
@@ -180,7 +146,7 @@ def test_criterion_6_outage_approximation(batches):
     for area in (0.3, 0.4):
         for aspect in (1.0, 20.0):
             for kind in (CorrelationKind.SINC, CorrelationKind.JAKES):
-                system = _system(area, kind, aspect=aspect)
+                system = _point(default_system(), area=area, aspect=aspect, model=kind)
                 grid = suggest_grid(system.geometry, system.correlation)
                 batch = batches(system, grid.nx, grid.ny, n)
                 mu1, mu2 = dataclasses.astuple(snr_moments(system))
@@ -208,8 +174,8 @@ def test_criterion_7_channel_hardening(batches):
     for setup in ("A", "B", "C"):
         for area in areas:
             for kappa in kappas:
-                system = _system(area, CorrelationKind.SINC, kappa=kappa,
-                                 setup=setup)
+                system = _point(default_system(), area=area,
+                                model=CorrelationKind.SINC, kappa=kappa, setup=setup)
                 mu1, mu2 = dataclasses.astuple(snr_moments(system))
                 cv2[(setup, area, kappa)] = cv_squared(mu1, mu2)
     monotone_area = all(
@@ -226,7 +192,8 @@ def test_criterion_7_channel_hardening(batches):
 
     worst_rel = 0.0
     for area in (0.2, 0.3, 0.4):
-        system = _system(area, CorrelationKind.SINC, kappa=1.0, setup="A")
+        system = _point(default_system(), area=area, model=CorrelationKind.SINC,
+                        kappa=1.0, setup="A")
         grid = suggest_grid(system.geometry, system.correlation)
         s = batches(system, grid.nx, grid.ny, 10 ** 4).summaries()
         mc = s.var_snr / s.mean_snr ** 2
@@ -239,17 +206,14 @@ def test_criterion_7_channel_hardening(batches):
 
 
 def test_criterion_8_per_sample_identity_and_dominance():
-    system = _system(0.2, CorrelationKind.JAKES)
+    system = _point(default_system(), area=0.2, model=CorrelationKind.JAKES)
     grid = GridSpec(16, 16)
     oracle = Oracle.build(system, grid)
-    a_b = oracle.a_b
 
     def draws(seed, index):
         coeffs, h_d = oracle.draw_block(seed, index)
         fields = sample_field(oracle.sampler, coeffs)
-        best = snr_under_profile(fields, h_d, a_b, optimal_phase_profile(fields, h_d, a_b),
-                                 system, grid)
-        return fields, h_d, best
+        return fields, h_d, oracle.snr_under(fields, h_d, oracle.optimal_phases(fields, h_d))
 
     # the replicate loop's expansion in Y against the norm form of its draws
     n = 10 ** 4
@@ -264,8 +228,7 @@ def test_criterion_8_per_sample_identity_and_dominance():
     fields, h_d, best = draws(MASTER_SEED + 2, 0)
     for j in range(100):
         phases = np.exp(2j * math.pi * rng.uniform(size=(grid.n_points, 100)))
-        snr = snr_under_profile(fields[:, j:j + 1], h_d[:, j:j + 1], a_b, phases,
-                                system, grid)
+        snr = oracle.snr_under(fields[:, j:j + 1], h_d[:, j:j + 1], phases)
         violations += int(np.sum(snr > best[j]))
     _report(8, identity_ok and violations == 0,
             f"worst expansion/norm-form relative gap = {worst_rel:.2e} "

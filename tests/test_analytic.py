@@ -38,32 +38,13 @@ from contris.sysmodel import (
     derive_gains,
 )
 
-WAVELENGTH = 299792458.0 / 5.8e9
-BETA_UR = 4.196737608386484e-06
+from conftest import BETA_UR, WAVELENGTH, ZeroCorrelation, jakes, sinc_model
 
 # frozen oracle values
 UNIT_SQUARE_MEAN_SEPARATION = 0.52140543316472067833  # (2 + sqrt2 + 5 asinh 1)/15
 MEAN_SNR_UNIT_CORNER = 4.7724538509055160273          # 3 + sqrt(pi)
 MU2_UNIT_CORNER = 64.586807763582740409               # 38 + 15 sqrt(pi)
 DET_UNIT_CORNER = 0.18033688011112042592              # 1 / (8 ln 2)
-
-
-def jakes(kappa=1.0):
-    return IsotropicCorrelation(CorrelationKind.JAKES, kappa, WAVELENGTH)
-
-
-def sinc_model(kappa=1.0):
-    return IsotropicCorrelation(CorrelationKind.SINC, kappa, WAVELENGTH)
-
-
-class ZeroCorrelation:
-    """Synthetic model: perfectly uncorrelated except at zero separation."""
-
-    kappa = 0.0
-
-    def rho(self, r):
-        arr = np.asarray(r, dtype=float)
-        return np.where(arr == 0.0, 1.0, 0.0)
 
 
 def unit_terms(**overrides) -> LinkTerms:

@@ -17,6 +17,7 @@ from contris import cli, mcsim, sysmodel
 from contris.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = PERFBENCH.parent / "src" / "contris"
 MODULES = {"analytic", "cli", "mcsim", "quadrature", "specfun", "sysmodel"}
 
 
@@ -165,3 +166,46 @@ def test_make_grid_rejects_bad_sides(nx):
     # sides by GridSpec's one rule before any cell area is taken
     with pytest.raises(DomainError):
         mcsim.make_grid(sysmodel.SurfaceGeometry(1.0, 1.0), nx, 4)
+
+
+# wrappers that src/ does not call, kept only while the benchmark does; each
+# carries this marker comment
+PERFBENCH_ONLY = ["analytic.mean_snr", "analytic.second_moment_snr",
+                  "analytic.YMoments.from_first_two", "mcsim.make_grid"]
+MARKER = "# kept for the callers in perfbench/"
+
+
+def dotted_references(paths):
+    """Every ``<contris module>.<name>[.<name>...]`` written in these files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            parts, value = [], node
+            while isinstance(value, ast.Attribute):
+                parts.insert(0, value.attr)
+                value = value.value
+            if parts and isinstance(value, ast.Name) and value.id in MODULES:
+                names.add(".".join([value.id, *parts]))
+    return names
+
+
+def called_names(paths):
+    """The last name of every call's function in these files."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("dotted", PERFBENCH_ONLY)
+def test_perfbench_only_wrappers(dotted):
+    # when the benchmark stops calling a wrapper, the first assert names it
+    # for deletion
+    assert dotted in dotted_references(PERFBENCH.glob("*.py")), (
+        f"perfbench/ no longer uses {dotted}: delete the wrapper")
+    module, *path = dotted.split(".")
+    assert path[-1] not in called_names(PACKAGE.glob("*.py")), (
+        f"src/ calls {dotted}, which is kept only for perfbench/")
+    obj = importlib.import_module(f"contris.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    assert MARKER in inspect.getsource(obj)

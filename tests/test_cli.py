@@ -401,9 +401,9 @@ class TestValidate:
     def test_identity_check_reads_the_replicate_loop(self, monkeypatch):
         # the check compares the batch's own SNR samples with the norm form,
         # so a 1e-8 error in the loop's scoring must fail it
-        score = mcsim.optimal_snr_sample
-        monkeypatch.setattr(mcsim, "optimal_snr_sample",
-                            lambda *args: score(*args) * (1.0 + 1e-8))
+        score = mcsim.Oracle.snr
+        monkeypatch.setattr(mcsim.Oracle, "snr",
+                            lambda self, *args: score(self, *args) * (1.0 + 1e-8))
         checks = {c.name: c for c in validate(tiny_config(replicates=400)).checks}
         identity = checks["snr_expansion_identity_rel"]
         assert not identity.passed

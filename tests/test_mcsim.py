@@ -14,12 +14,9 @@ from contris.mcsim import (
     build_surface_covariance,
     compute_Y,
     direct_factor,
-    optimal_phase_profile,
-    optimal_snr_sample,
     run_replicates,
     sample_direct_channel,
     sample_field,
-    snr_under_profile,
     suggest_grid,
     surface_blocks,
 )
@@ -34,12 +31,7 @@ from contris.sysmodel import (
     steering_vector,
 )
 
-WAVELENGTH = 299792458.0 / 5.8e9
-BETA_UR = 4.196737608386484e-06
-
-
-def jakes(kappa=1.0):
-    return IsotropicCorrelation(CorrelationKind.JAKES, kappa, WAVELENGTH)
+from conftest import BETA_UR, WAVELENGTH, jakes, sinc_model
 
 
 def small_geom():
@@ -133,9 +125,7 @@ class TestGrid:
         assert suggest_grid(geom, jakes(0.0)).nx == 8
 
     @pytest.mark.parametrize("nx,ny", [(2, 2), (7, 5), (8, 8), (43, 3), (49, 49)])
-    @pytest.mark.parametrize("model", [jakes(0.0), jakes(1.0),
-                                       IsotropicCorrelation(CorrelationKind.SINC, 0.5,
-                                                            WAVELENGTH)],
+    @pytest.mark.parametrize("model", [jakes(0.0), jakes(1.0), sinc_model(0.5)],
                              ids=["jakes0", "jakes1", "sinc05"])
     def test_grid_moment_equals_offset_table(self, nx, ny, model):
         geom = SurfaceGeometry(0.7, 0.3)
@@ -222,7 +212,7 @@ class TestSurfaceCovariance:
                             or blocks(*args))
         geom = small_geom()
         grid = GridSpec(8, 8)
-        sinc = IsotropicCorrelation(CorrelationKind.SINC, 1.0, WAVELENGTH)
+        sinc = sinc_model()
         for model in (jakes(), sinc, sinc, jakes()):
             build_surface_covariance(geom, grid, model, BETA_UR)
         assert len(calls) == 3
@@ -409,78 +399,83 @@ class TestPhaseProfile:
         oracle = Oracle.build(dataclasses.replace(system, geometry=geom),
                               GridSpec(6, 6))
         coeffs, h_d = oracle.draw_block(1234, 0)
-        return oracle, sample_field(oracle.sampler, coeffs), h_d, oracle.a_b
+        return oracle, sample_field(oracle.sampler, coeffs), h_d
 
     def test_unit_modulus_and_cancellation(self, paper_system):
-        _, fields, h_d, a_b = self._draw(paper_system)
-        phases = optimal_phase_profile(fields, h_d, a_b)
+        oracle, fields, h_d = self._draw(paper_system)
+        phases = oracle.optimal_phases(fields, h_d)
         assert phases.shape == fields.shape
         assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
-        proj = a_b.conj() @ h_d
+        proj = oracle.a_b.conj() @ h_d
         aligned = phases * fields / np.abs(fields)
         assert np.max(np.abs(aligned - proj / np.abs(proj))) < 1e-9
 
     def test_degenerate_projection_aligns_with_one(self, paper_system):
-        _, fields, _, a_b = self._draw(paper_system)
-        phases = optimal_phase_profile(fields, np.zeros((a_b.size, fields.shape[1])), a_b)
+        oracle, fields, _ = self._draw(paper_system)
+        phases = oracle.optimal_phases(fields, np.zeros((oracle.a_b.size, fields.shape[1])))
         assert np.max(np.abs(phases * fields / np.abs(fields) - 1.0)) < 1e-9
 
     def test_optimal_profile_reaches_expanded_snr(self, paper_system):
-        oracle, fields, h_d, a_b = self._draw(paper_system)
-        system, grid = oracle.cfg, oracle.sampler.grid
-        phases = optimal_phase_profile(fields, h_d, a_b)
-        via_profile = snr_under_profile(fields, h_d, a_b, phases, system, grid)
-        expanded = optimal_snr_sample(h_d, compute_Y(fields, oracle.sampler), a_b, system)
+        oracle, fields, h_d = self._draw(paper_system)
+        via_profile = oracle.snr_under(fields, h_d, oracle.optimal_phases(fields, h_d))
+        expanded = oracle.snr(h_d, compute_Y(fields, oracle.sampler))
         assert np.max(np.abs(via_profile - expanded) / expanded) <= 1e-10
 
     def test_dominates_random_profiles(self, paper_system, rng):
-        oracle, fields, h_d, a_b = self._draw(paper_system)
-        system, grid = oracle.cfg, oracle.sampler.grid
-        best = snr_under_profile(fields, h_d, a_b, optimal_phase_profile(fields, h_d, a_b),
-                                 system, grid)
+        oracle, fields, h_d = self._draw(paper_system)
+        best = oracle.snr_under(fields, h_d, oracle.optimal_phases(fields, h_d))
         for j in range(8):
-            random_phases = np.exp(2j * math.pi * rng.uniform(size=(grid.n_points, 20)))
-            snr = snr_under_profile(fields[:, j:j + 1], h_d[:, j:j + 1], a_b, random_phases,
-                                    system, grid)
+            random_phases = np.exp(2j * math.pi * rng.uniform(
+                size=(oracle.sampler.grid.n_points, 20)))
+            snr = oracle.snr_under(fields[:, j:j + 1], h_d[:, j:j + 1], random_phases)
             assert np.all(snr <= best[j])
 
 
+@pytest.fixture()
+def small_oracle(paper_system):
+    """The default system on a 4x4 grid, to score hand-made draws."""
+    return Oracle.build(paper_system, GridSpec(4, 4))
+
+
 class TestSnrSample:
-    def test_no_surface_contribution(self, paper_system, rng):
-        a_b = steering_vector(paper_system.array)
+    def test_no_surface_contribution(self, paper_system, small_oracle, rng):
         h_d = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 1e-6
         expect = paper_system.transmit_snr * float(np.real(np.vdot(h_d, h_d)))
-        assert optimal_snr_sample(h_d, 0.0, a_b, paper_system) == pytest.approx(expect)
+        assert small_oracle.snr(h_d, 0.0) == pytest.approx(expect)
 
-    def test_surface_only(self, paper_system):
-        a_b = steering_vector(paper_system.array)
+    def test_surface_only(self, paper_system, small_oracle):
         h_d = np.zeros(32, dtype=complex)
         beta_rb = derive_gains(paper_system).beta_rb
+        assert small_oracle.beta_rb == beta_rb
         y = 3.2e-4
         expect = paper_system.transmit_snr * 32 * beta_rb * y * y
-        assert optimal_snr_sample(h_d, y, a_b, paper_system) == pytest.approx(expect)
+        assert small_oracle.snr(h_d, y) == pytest.approx(expect)
 
-    def test_expansion_equals_norm_form(self, paper_system, rng):
+    def test_expansion_equals_norm_form(self, small_oracle, rng):
         # the norm form is the SNR under the optimal profile of some field
-        a_b = steering_vector(paper_system.array)
-        grid = GridSpec(4, 4)
-        sampler = Oracle.build(paper_system, grid).sampler
         h_d = (rng.standard_normal((32, 50)) + 1j * rng.standard_normal((32, 50))) * 1e-6
         fields = (rng.standard_normal((16, 50)) + 1j * rng.standard_normal((16, 50))) * 1e-3
-        expanded = optimal_snr_sample(h_d, compute_Y(fields, sampler), a_b, paper_system)
-        phases = optimal_phase_profile(fields, h_d, a_b)
-        norm = snr_under_profile(fields, h_d, a_b, phases, paper_system, grid)
+        expanded = small_oracle.snr(h_d, compute_Y(fields, small_oracle.sampler))
+        phases = small_oracle.optimal_phases(fields, h_d)
+        norm = small_oracle.snr_under(fields, h_d, phases)
         assert np.all(np.abs(expanded - norm) <= 1e-10 * expanded)
 
-    def test_block_matches_single_draws(self, paper_system, rng):
-        a_b = steering_vector(paper_system.array)
+    def test_block_matches_single_draws(self, small_oracle, rng):
         h_d = (rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))) * 1e-6
         y = rng.uniform(0.0, 1e-3, 5)
-        block = optimal_snr_sample(h_d, y, a_b, paper_system)
+        block = small_oracle.snr(h_d, y)
         assert block.shape == (5,)
         for j in range(5):
-            assert block[j] == pytest.approx(
-                optimal_snr_sample(h_d[:, j], y[j], a_b, paper_system), rel=1e-14)
+            assert block[j] == pytest.approx(small_oracle.snr(h_d[:, j], y[j]), rel=1e-14)
+
+    def test_norm_form_rejects_fields_of_another_grid(self, paper_system, rng):
+        # 16 rows are the fields of a 4x4 grid, not of this 8x8 one: weighting
+        # them by this grid's cell area A/64 would shrink their reflection 4x
+        oracle = Oracle.build(paper_system, GridSpec(8, 8))
+        h_d = (rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))) * 1e-6
+        fields = (rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))) * 1e-3
+        with pytest.raises(DomainError, match="one row per grid point"):
+            oracle.snr_under(fields, h_d, np.ones((16, 3)))
 
 
 class TestRunReplicates:
@@ -664,12 +659,10 @@ class TestEmpiricalCdf:
 @pytest.mark.parametrize("call", [
     lambda system: build_surface_covariance(
         small_geom(), GridSpec(4, 4), jakes(), math.inf),
-    lambda system: optimal_snr_sample(
-        np.zeros((32, 2), dtype=complex), np.array([1e-4, -1e-4]),
-        steering_vector(system.array), system),
-    lambda system: optimal_snr_sample(
-        np.zeros((32, 2), dtype=complex), np.array([1e-4, math.nan]),
-        steering_vector(system.array), system),
+    lambda system: Oracle.build(system, GridSpec(4, 4)).snr(
+        np.zeros((32, 2), dtype=complex), np.array([1e-4, -1e-4])),
+    lambda system: Oracle.build(system, GridSpec(4, 4)).snr(
+        np.zeros((32, 2), dtype=complex), np.array([1e-4, math.nan])),
     lambda system: EmpiricalCdf(np.array([1.0, math.nan, 2.0])),
 ], ids=["beta_ur_inf", "block_with_negative_y", "block_with_nan_y", "ecdf_nan"])
 def test_out_of_domain_inputs_rejected(paper_system, call):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,22 +22,13 @@ from contris.sysmodel import (
     steering_vector,
 )
 
-WAVELENGTH = 299792458.0 / 5.8e9
+from conftest import BETA_UR, WAVELENGTH, jakes, sinc_model
 
 # frozen layout values for (d_rb, d_x, d_y) = (5, 30, 1)
 D_D_DEFAULT = 30.0166620396072688
 D_UR_DEFAULT = 25.0199920063936072
 BETA_D_DEFAULT = 1.3671797810418105e-12
 BETA_RB_DEFAULT = 6.48262638677105e-05
-BETA_UR_DEFAULT = 4.196737608386484e-06
-
-
-def jakes(kappa=1.0):
-    return IsotropicCorrelation(CorrelationKind.JAKES, kappa, WAVELENGTH)
-
-
-def sinc_model(kappa=1.0):
-    return IsotropicCorrelation(CorrelationKind.SINC, kappa, WAVELENGTH)
 
 
 class TestSurfaceGeometry:
@@ -59,6 +51,15 @@ class TestSurfaceGeometry:
     def test_area_out_of_range(self, side):
         with pytest.raises(DomainError, match="area"):
             SurfaceGeometry(side, side)
+
+    # numpy sides whose area overflows raise the same error, and no warning
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_area_overflow_warns_nothing(self, kind):
+        side = kind(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="area"):
+                SurfaceGeometry(side, side)
 
     def test_largest_finite_area_keeps_a_finite_diagonal(self):
         geom = SurfaceGeometry(sys.float_info.max, 1.0)
@@ -270,7 +271,7 @@ class TestDeriveGains:
         gains = derive_gains(default_system())
         assert gains.beta_d == pytest.approx(BETA_D_DEFAULT, rel=1e-9)
         assert gains.beta_rb == pytest.approx(BETA_RB_DEFAULT, rel=1e-9)
-        assert gains.beta_ur == pytest.approx(BETA_UR_DEFAULT, rel=1e-9)
+        assert gains.beta_ur == pytest.approx(BETA_UR, rel=1e-9)
 
     def test_zero_exponents_give_reference_gain(self):
         system = default_system()
