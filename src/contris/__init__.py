@@ -14,6 +14,5 @@ from .errors import (  # noqa: F401
     CovarianceRepairFailure,
     DegenerateGeometry,
     DomainError,
-    NonPositiveVariance,
     QuadratureFailure,
 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveVariance
+from .errors import DomainError
 from .mcsim import GridSpec
 from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .specfun import gauss_2f1_half, reg_lower_gamma
@@ -366,10 +366,10 @@ def snr_moments(cfg: SystemConfig) -> SnrMoments:
 
 
 def gamma_fit(mu1: float, mu2: float) -> GammaFit:
-    """Method-of-moments gamma parameters matching (mu1, mu2)."""
-    variance = mu2 - mu1 ** 2
-    if variance <= 0.0:
-        raise NonPositiveVariance(f"mu2 - mu1^2 = {variance:.3e} is not positive")
+    """Method-of-moments gamma parameters matching (mu1, mu2), mu2 > mu1^2."""
+    variance = _variance(mu1, mu2)
+    if variance == 0.0:
+        raise DomainError("a gamma fit needs a positive variance")
     return GammaFit(alpha_g=mu1 ** 2 / variance, beta_g=mu1 / variance)
 
 

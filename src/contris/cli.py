@@ -49,6 +49,11 @@ function.  One loop runs a spec over the product of its axes:
 * ``fig5``   channel-hardening CV^2 per layout setup, area and kappa
 * ``table1`` bound vs dominant-error-term summary over kappa
 
+A model axis sets the kind of both correlation models and a kappa axis both
+kappas, so a configured ``bs_correlation`` keeps only what the scenario does
+not sweep: (sinc, 0.3) runs as (sinc, kappa) in fig3 and as (jakes, 0.3) at
+a Jakes model point.
+
 Exit codes: 0 success, 1 validation failure or I/O error (``io error:`` on
 stderr, such as an unwritable ``--out``), 2 configuration error (a malformed
 config, or a configured model outside the library's domain or the
@@ -135,6 +140,8 @@ class SweepSpec:
             raise ConfigError("sweep areas and aspects must be positive")
         if not all(v >= 0.0 for v in self.kappas):
             raise ConfigError("sweep kappas must be >= 0")
+        for db in self.thresholds_db:
+            _db_to_linear(db)  # rejects a threshold past the float range
         for name in self.setups:
             if name not in SETUPS and name != "custom":
                 raise ConfigError(f"unknown setup {name!r}; expected A/B/C/custom")

@@ -27,10 +27,6 @@ class QuadratureFailure(ContrisError):
         self.error = error
 
 
-class NonPositiveVariance(ContrisError):
-    """Moment matching is impossible because the implied variance is <= 0."""
-
-
 class CovarianceRepairFailure(ContrisError):
     """A correlation matrix is too indefinite to be repaired by clipping."""
 

@@ -6,10 +6,11 @@ covariance, and each replicate applies the SNR-optimal phase design, so
 that the per-draw SNR reduces to a function of the aggregate amplitude Y,
 the direct channel and the arrival steering vector.  No symbol-level
 waveform is ever materialized.  The grid covariance depends only on the
-cell offsets, and the grid's reflections split it into four independent
-blocks, which are built and factorized separately.  The replicate loop
-sums Y from the four blocks' parts of the field over a few mirror rows at
-a time and never builds the field on the whole grid.
+cell offsets, and the grid's reflections split the field into four
+independent parity parts, the half-sums (h(r) +- h(n - 1 - r)) / 2 along
+each axis, whose covariance blocks are built and factorized separately.
+The replicate loop sums Y from the four parts over a few mirror rows at a
+time and never builds the field on the whole grid.
 
 The unit-power surface factor depends only on (geometry, grid, model):
 beta_ur scales it, so the last one built is kept read-only, and the next
@@ -134,33 +135,31 @@ def suggest_grid(geom: SurfaceGeometry, model: IsotropicCorrelation) -> GridSpec
     return GridSpec(side(geom.width_m), side(geom.height_m))
 
 
-# The grid's reflection in each axis splits the cells of that axis into an
-# even half with basis (e_r + e_{n-1-r}) / sqrt 2 per representative cell
-# r < n / 2, plus e_c for the centre cell c = (n - 1) / 2 when n is odd, and
-# an odd half with basis (e_r - e_{n-1-r}) / sqrt 2.  The four (x, y) parity
-# blocks, even first, in the order FieldSampler.blocks keeps them:
+# The grid's reflection in each axis splits a field h on an n-cell axis into
+# even and odd parts, held at the representative cells r < n / 2 (and the
+# centre cell c = (n - 1) / 2 of the even part, when n is odd) as half-sums
+# (h(r) +- h(n - 1 - r)) / 2, so h(c) itself.  The four (x, y) parity parts,
+# even first, in the order FieldSampler.blocks keeps them:
 _PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _half_scale(n: int, sign: float) -> np.ndarray:
-    """Entry scale of each representative cell of one parity half of an
-    n-cell axis: 1, or sqrt(1/2) for the centre cell.  The cell's basis
-    vector has magnitude sqrt(1/2) / scale on each cell it covers."""
-    r = np.arange((n + 1) // 2 if sign > 0 else n // 2)
-    return np.where(2 * r == n - 1, _SQRT_HALF, 1.0)
+def _half(n: int, sign: float) -> int:
+    """Representative cells of the part of sign ``sign`` on an n-cell axis."""
+    return (n + 1) // 2 if sign > 0 else n // 2
 
 
 def surface_blocks(
     geom: SurfaceGeometry, grid: GridSpec, model: IsotropicCorrelation,
 ) -> tuple:
-    """The four diagonal blocks of the grid correlation in the reflection
-    basis, (x, y) parities (even, even), (even, odd), (odd, even), (odd, odd).
+    """The covariances of the grid correlation's four parity parts, (x, y)
+    parities (even, even), (even, odd), (odd, even), (odd, odd), which are
+    mutually independent.
 
     ``rho`` is evaluated once per cell offset.  For a correlation f of the
-    offsets, the 1-D entry between representatives r and t of the half of
-    sign s is scale_r scale_t (f(|r - t|) + s f(n - 1 - r - t)): each block
-    is Toeplitz plus Hankel in each axis, gathered from the offset table.
-    Rows are x-major over the representative cells.
+    offsets, the 1-D covariance of the half-sums of sign s at representative
+    cells r and t is (f(|r - t|) + s f(n - 1 - r - t)) / 2, the centre cell
+    included: each block is Toeplitz plus Hankel in each axis, gathered from
+    the offset table.  Rows are x-major over the representative cells.
     """
     nx, ny = grid.nx, grid.ny
     table = np.asarray(model.rho(np.hypot(np.arange(nx)[:, None] * (geom.width_m / nx),
@@ -168,22 +167,20 @@ def surface_blocks(
                        dtype=float)
     table[0, 0] = 1.0
 
-    def offsets(n, size):
-        r = np.arange(size)
+    def offsets(n, sign):
+        r = np.arange(_half(n, sign))
         return np.abs(r[:, None] - r[None, :]), (n - 1) - r[:, None] - r[None, :]
 
     blocks = []
     for sx, sy in _PARITIES:
-        scale_x, scale_y = _half_scale(nx, sx), _half_scale(ny, sy)
-        direct_x, mirror_x = offsets(nx, scale_x.size)
-        direct_y, mirror_y = offsets(ny, scale_y.size)
+        direct_x, mirror_x = offsets(nx, sx)
+        direct_y, mirror_y = offsets(ny, sy)
         folded = table[direct_x] + sx * table[mirror_x]
-        r = np.arange(scale_x.size)[:, None, None, None]
+        r = np.arange(direct_x.shape[0])[:, None, None, None]
         t = r.reshape(1, 1, -1, 1)
         block = (folded[r, t, direct_y[None, :, None, :]]
                  + sy * folded[r, t, mirror_y[None, :, None, :]])
-        scale = np.outer(scale_x, scale_y).ravel()
-        blocks.append(block.reshape(scale.size, scale.size) * np.outer(scale, scale))
+        blocks.append(0.25 * block.reshape(direct_x.shape[0] * direct_y.shape[0], -1))
     return tuple(blocks)
 
 
@@ -194,8 +191,8 @@ class FieldSampler:
     ``blocks`` holds one real unit-power factor per block of
     :func:`surface_blocks`, in its order, read-only and shared with the
     next sampler of the same (geometry, grid, model).  Block k's factor maps
-    its coefficients to the field's parity part k at the representative cells
-    (the lower quarter of the grid), with the basis weights and the unit
+    its coefficients to the field's half-sum parity part k at the
+    representative cells (the lower quarter of the grid), with the unit
     row-power scaling in its rows and its columns by descending eigenvalue.
     :meth:`apply` unfolds the four parts onto the whole grid, and
     :meth:`abs_sums` sums the field's magnitude over the grid chunk by
@@ -218,11 +215,10 @@ class FieldSampler:
     def _parts(self, coeffs: np.ndarray) -> list:
         """The four parity parts at unit power, (x rows, y rows, k) each,
         for real coefficient columns (rank, k); rows follow the blocks."""
-        ny, hy = self.grid.ny, self.grid.ny // 2
         parts, start = [], 0
         for block, (_, sy) in zip(self.blocks, _PARITIES):
             stop = start + block.shape[1]
-            rows_y = ny - hy if sy > 0 else hy
+            rows_y = _half(self.grid.ny, sy)
             parts.append((block @ coeffs[start:stop]).reshape(-1, rows_y, coeffs.shape[1]))
             start = stop
         return parts
@@ -292,25 +288,25 @@ def _fix_signs(eigvecs: np.ndarray) -> None:
     every sample drawn through the flipped columns.  The ramp decides the
     sign only where the projection stands well clear of roundoff.  That
     holds for the parity blocks of the surface, which carry no mirror
-    symmetry: their kept columns project at 1e-10 of the ramp's norm or
-    more on every grid tested.  R_d's mirror symmetries defeat the ramp, so
+    symmetry: their kept columns project at 1e-8 of the ramp's norm or more
+    on every grid tested (sinc 32x32: 1.3e-8; sinc 33x33, with centre
+    lines: 2.0e-8).  R_d's mirror symmetries defeat the ramp, so
     :func:`direct_factor` uses a factor that carries no signs.
     """
     ramp = np.arange(1.0, eigvecs.shape[0] + 1.0)
     eigvecs *= np.where(ramp @ eigvecs < 0.0, -1.0, 1.0)
 
 
-def _unit_factors(eigvals, bases, weights) -> tuple[list, list]:
-    """Real factors F_k of the diagonal blocks of one correlation matrix,
-    scaled so that every point has unit power, and the kept eigenvectors
-    V_k of each block, F_k's column space.
+def _unit_factors(eigvals, bases, shapes) -> tuple[list, list]:
+    """Real factors F_k of the covariances of independent parts whose sum
+    is the field, scaled so that every point has unit power, and the kept
+    eigenvectors V_k of each block, F_k's column space.
 
     ``eigvals`` is the clipped union of the block spectra, each ascending
     as ``eigh`` returns it, and ``bases[k]`` holds block k's eigenvectors.
-    ``weights[k]`` holds the weight of block k's basis vector on each point
-    its rows cover, one entry per row, shaped as the leading corner of
-    ``weights[0]`` that those points fill.  A point's power is
-    sum_k weights[k]^2 * (row power of F_k) over the blocks that cover it.
+    Block k's rows are the points of the leading corner ``shapes[k]`` of
+    the array ``shapes[0]``, in C order.  A point's power is the sum of
+    the row powers of F_k over the blocks that cover it.
     The rank cut is judged on the union, as for the whole matrix: the
     smallest eigenvalues whose sum is at most _TAIL_MASS of the total are
     dropped.  Each block's kept columns run in descending eigenvalue order,
@@ -322,21 +318,21 @@ def _unit_factors(eigvals, bases, weights) -> tuple[list, list]:
     tail = np.cumsum(eigvals[order])
     drop = np.zeros(eigvals.size, dtype=bool)
     drop[order[:np.count_nonzero(tail <= _TAIL_MASS * tail[-1])]] = True
-    corners = [tuple(map(slice, weight.shape)) for weight in weights]
+    corners = [tuple(map(slice, shape)) for shape in shapes]
     factors, kept, start = [], [], 0
-    power = np.zeros(weights[0].shape)
-    for eigvecs, weight, corner in zip(bases, weights, corners):
+    power = np.zeros(shapes[0])
+    for eigvecs, shape, corner in zip(bases, shapes, corners):
         stop = start + eigvecs.shape[1]
         dropped = np.count_nonzero(drop[start:stop])
         kept.append(eigvecs[:, dropped:][:, ::-1])
         factors.append(kept[-1] * np.sqrt(eigvals[start:stop][dropped:][::-1]))
-        power[corner] += weight ** 2 * (factors[-1] ** 2).sum(axis=1).reshape(weight.shape)
+        power[corner] += (factors[-1] ** 2).sum(axis=1).reshape(shape)
         start = stop
     if np.any(power <= 0.0):
         raise CovarianceRepairFailure("a grid point lost all covariance mass")
     unit = 1.0 / np.sqrt(power)
-    for factor, weight, corner in zip(factors, weights, corners):
-        factor *= (weight * unit[corner]).reshape(-1, 1)
+    for factor, corner in zip(factors, corners):
+        factor *= unit[corner].reshape(-1, 1)
     return factors, kept
 
 
@@ -354,13 +350,12 @@ def _unit_surface(geom: SurfaceGeometry, grid: GridSpec,
     key = (geom, grid, model)
     if key not in _last_surface:
         _last_surface.clear()
-        weights = [0.5 / np.outer(_half_scale(grid.nx, sx), _half_scale(grid.ny, sy))
-                   for sx, sy in _PARITIES]
+        shapes = [(_half(grid.nx, sx), _half(grid.ny, sy)) for sx, sy in _PARITIES]
         spectra = [np.linalg.eigh(block) for block in surface_blocks(geom, grid, model)]
         for _, eigvecs in spectra:
             _fix_signs(eigvecs)
         eigvals, clipped_mass = clip_spectrum(np.concatenate([w for w, _ in spectra]))
-        factors, _ = _unit_factors(eigvals, [v for _, v in spectra], weights)
+        factors, _ = _unit_factors(eigvals, [v for _, v in spectra], shapes)
         for factor in factors:
             factor.flags.writeable = False
         _last_surface[key] = (tuple(factors), clipped_mass)
@@ -375,11 +370,11 @@ def build_surface_covariance(
 ) -> FieldSampler:
     """Correlation of the grid points, clipped and factorized per block.
 
-    The blocks are those of :func:`surface_blocks`.  A point's row power is
-    the same at its four mirror images, so the unit row-power scaling goes
-    into the rows of the block factors, with the weight of each row's basis
-    vector on the grid.  A call with the (geometry, grid, model) of the
-    previous one shares its unit factors; the sampler applies sqrt(beta_ur).
+    The blocks are those of :func:`surface_blocks`.  A point's power, the
+    sum of its parity parts' powers, is the same at its four mirror images,
+    so the unit row-power scaling goes into the rows of the block factors.
+    A call with the (geometry, grid, model) of the previous one shares its
+    unit factors; the sampler applies sqrt(beta_ur).
     """
     if not 0.0 < beta_ur < math.inf:
         raise DomainError("beta_ur must be positive and finite")
@@ -401,7 +396,7 @@ def direct_factor(r_d: np.ndarray, beta_d: float) -> np.ndarray:
     degenerate eigenvalue pairs, but D depends on neither.
     """
     eigvals, eigvecs, _ = clipped_eigh(r_d)
-    (factor,), (basis,) = _unit_factors(eigvals, [eigvecs], [np.ones(r_d.shape[0])])
+    (factor,), (basis,) = _unit_factors(eigvals, [eigvecs], [r_d.shape[:1]])
     return math.sqrt(0.5 * beta_d) * (factor @ basis.T)
 
 

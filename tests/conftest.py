@@ -39,15 +39,12 @@ def paper_system():
 
 @pytest.fixture(scope="session")
 def batches():
-    """Session cache of Monte Carlo batches keyed by run parameters."""
+    """Session cache of Monte Carlo batches keyed by run parameters; the
+    frozen system is its own key, every field of it."""
     cache = {}
 
     def get(system, nx, ny, n, seed=MASTER_SEED):
-        key = (system.geometry.width_m, system.geometry.height_m,
-               system.correlation.kind.value, system.correlation.kappa,
-               system.bs_correlation.kind.value, system.bs_correlation.kappa,
-               system.link, system.array, system.transmit_snr,
-               nx, ny, n, seed)
+        key = (system, nx, ny, n, seed)
         if key not in cache:
             grid = mcsim.GridSpec(nx, ny)
             cache[key] = mcsim.run_replicates(system, grid, n, seed)

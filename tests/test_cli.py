@@ -59,6 +59,8 @@ BAD_DOCUMENTS = [
     *SNR_OVERFLOW_DOCUMENTS,
     {"system": {"transmit_snr": 1e-300}},
     {"system": {"geometry": {"width_m": 1e-150, "height_m": 1e-150}}},
+    # a threshold past the float range, rejected at load: table1 reads none
+    {"sweep": {"thresholds_db": [4000.0]}},
 ]
 
 _GEOMETRY = dict.fromkeys(["width_m", "height_m"])
@@ -176,6 +178,10 @@ class TestLoadConfig:
                       {"thresholds_db": (math.nan,)}):
             with pytest.raises(ConfigError, match="finite"):
                 SweepSpec(**lists)
+        # a threshold needs a linear value: 10^(4000/10) overflows
+        SweepSpec(thresholds_db=(3080.0, -4000.0))
+        with pytest.raises(ConfigError, match="4000.0 dB is out of range"):
+            SweepSpec(thresholds_db=(20.0, 4000.0))
 
     def test_document_replaces_only_given_fields(self):
         assert load_config({}) == ExperimentConfig()
@@ -374,6 +380,19 @@ class TestScenarios:
         table = run_scenario("fig5", cfg)
         assert len(table.rows) == 48
         assert len(calls) == 16
+
+    def test_swept_axes_set_both_correlation_models(self):
+        # a configured bs_correlation keeps only what the scenario does not
+        # sweep: the model axis sets both kinds, the kappa axis both kappas
+        system = dataclasses.replace(default_system(), bs_correlation=dataclasses.replace(
+            default_system().bs_correlation, kind=CorrelationKind.SINC, kappa=0.3))
+        at_kappa = cli._point(system, kappa=0.5, area=0.1)
+        assert (at_kappa.bs_correlation.kind, at_kappa.bs_correlation.kappa) == (
+            CorrelationKind.SINC, 0.5)
+        assert at_kappa.correlation.kappa == 0.5
+        at_model = cli._point(system, area=0.1, model=CorrelationKind.JAKES)
+        assert (at_model.bs_correlation.kind, at_model.bs_correlation.kappa) == (
+            CorrelationKind.JAKES, 0.3)
 
     def test_reproducible_rows(self):
         cfg = tiny_config(sweep=SweepSpec(areas_m2=(0.1,)))

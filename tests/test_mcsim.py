@@ -11,6 +11,7 @@ from contris.mcsim import (
     EmpiricalCdf,
     GridSpec,
     Oracle,
+    ReplicateBatch,
     build_surface_covariance,
     compute_Y,
     direct_factor,
@@ -62,17 +63,17 @@ def offset_table_m2(geom, model, beta_ur, nx, ny):
     return (geom.area_m2 / (nx * ny)) ** 2 * float((pairs * kernel).sum())
 
 
-def reflection_basis(n, sign):
-    """Orthonormal basis of the even (sign 1) or odd (sign -1) half of an
-    n-cell axis under its reflection; the centre cell joins the even half."""
-    cols = []
-    for r in range(n // 2):
-        col = np.zeros(n)
-        col[r], col[n - 1 - r] = 1.0, sign
-        cols.append(col / math.sqrt(2.0))
-    if n % 2 and sign > 0:
-        cols.append(np.eye(n)[n // 2])
-    return np.array(cols).T
+def half_sums(n, sign):
+    """The map from a field on an n-cell axis to its even (sign 1) or odd
+    (sign -1) half-sum part at the representative cells: row r holds 1/2 at
+    r and sign/2 at n - 1 - r, so the centre row of the even part holds 1
+    at the centre."""
+    rows = (n + 1) // 2 if sign > 0 else n // 2
+    out = np.zeros((rows, n))
+    for r in range(rows):
+        out[r, r] += 0.5
+        out[r, n - 1 - r] += 0.5 * sign
+    return out
 
 
 PARITIES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
@@ -163,14 +164,15 @@ class TestSurfaceCovariance:
         assert np.max(np.abs(diag - BETA_UR)) <= 1e-12 * BETA_UR
 
     def test_reconstruction_and_clipped_mass(self):
+        # odd sides put a centre row or column in the even parts
         geom = small_geom()
-        grid = GridSpec(16, 16)
-        sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
-        assert sampler.clipped_mass < 1e-9
-        cov = BETA_UR * dense_correlation(geom, grid, jakes())
-        factor = sampler.apply(np.eye(sampler.rank))
-        recon = factor @ factor.T
-        assert np.max(np.abs(recon - cov)) <= 1e-10 * BETA_UR
+        for grid in (GridSpec(16, 16), GridSpec(15, 9), GridSpec(7, 7)):
+            sampler = build_surface_covariance(geom, grid, jakes(), BETA_UR)
+            assert sampler.clipped_mass < 1e-9
+            cov = BETA_UR * dense_correlation(geom, grid, jakes())
+            factor = sampler.apply(np.eye(sampler.rank))
+            recon = factor @ factor.T
+            assert np.max(np.abs(recon - cov)) <= 1e-10 * BETA_UR, grid
 
     def test_cached_blocks_reject_writes(self):
         geom = small_geom()
@@ -250,27 +252,32 @@ class TestSurfaceCovariance:
     @pytest.mark.parametrize("kind", list(CorrelationKind))
     @pytest.mark.parametrize("nx,ny", [(7, 7), (8, 8), (8, 5), (5, 6), (2, 2)])
     def test_blocks_match_dense_reflection_basis(self, kind, nx, ny):
+        # the rows of the dense half-sum maps P_k are a basis of each parity
+        # part; block k is the covariance P_k Sigma P_k^T of part k
         geom = SurfaceGeometry(0.5, 0.3)
         grid = GridSpec(nx, ny)
         model = IsotropicCorrelation(kind, 1.0, WAVELENGTH)
         corr = dense_correlation(geom, grid, model)
-        bases = [np.kron(reflection_basis(nx, sx), reflection_basis(ny, sy))
-                 for sx, sy in PARITIES]
+        maps = [np.kron(half_sums(nx, sx), half_sums(ny, sy)) for sx, sy in PARITIES]
         blocks = surface_blocks(geom, grid, model)
-        for basis, block in zip(bases, blocks):
-            assert np.max(np.abs(block - basis.T @ corr @ basis)) <= 1e-12
-        # the reflections commute with the correlation: nothing off the blocks
-        full = np.hstack(bases)
-        rotated = full.T @ corr @ full
-        start = 0
-        for basis in bases:
-            stop = start + basis.shape[1]
-            rotated[start:stop, start:stop] = 0.0
-            start = stop
-        assert np.max(np.abs(rotated)) <= 1e-12
+        for p_j, block in zip(maps, blocks):
+            assert np.max(np.abs(block - p_j @ corr @ p_j.T)) <= 1e-12
+            # the reflections commute with the correlation: the parts are
+            # uncorrelated
+            for p_k in maps:
+                if p_k is not p_j:
+                    assert np.max(np.abs(p_j @ corr @ p_k.T)) <= 1e-12
+        # the stacked maps are an orthogonal matrix scaled by 1/2 per row,
+        # or by 1/sqrt 2 or 1 on a centre line: a congruence, so each block
+        # eigenvalue lies between 1/4 and 1 of its dense one (Ostrowski)
         dense = np.linalg.eigvalsh(corr)
         union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-        assert np.max(np.abs(union - dense)) <= 1e-12 * dense[-1]
+        tol = 1e-12 * dense[-1]
+        if nx % 2 == ny % 2 == 0:
+            assert np.max(np.abs(union - 0.25 * dense)) <= tol
+        else:
+            assert np.all(union >= np.minimum(dense, 0.25 * dense) - tol)
+            assert np.all(union <= np.maximum(dense, 0.25 * dense) + tol)
         perfect = IsotropicCorrelation(kind, 0.0, WAVELENGTH)
         assert build_surface_covariance(geom, grid, perfect, BETA_UR).rank == 1
 
@@ -491,7 +498,8 @@ class TestRunReplicates:
         # OpenBLAS returns other eigenvector signs at another thread count
         # on the default square grid; with the signs fixed, the batches
         # still differ, but only by roundoff.  The sinc 32x32 spectrum has
-        # eigenvalue clusters near the rank cut.
+        # eigenvalue clusters near the rank cut; the 33x33 grid puts a centre
+        # row and column in the even parts.
         import contris
         import os
         import subprocess
@@ -503,8 +511,8 @@ class TestRunReplicates:
                   "s = cli.default_system()\n"
                   "s = dataclasses.replace(s, correlation=dataclasses.replace(\n"
                   "    s.correlation, kind=CorrelationKind(sys.argv[2])))\n"
-                  "grid = mcsim.GridSpec(32, 32)\n"
-                  "np.save(sys.argv[1], mcsim.run_replicates(s, grid, 600, 3).y_samples)\n")
+                  "np.save(sys.argv[1], np.concatenate([mcsim.run_replicates(\n"
+                  "    s, mcsim.GridSpec(n, n), 600, 3).y_samples for n in (32, 33)]))\n")
         package_root = os.path.dirname(os.path.dirname(contris.__file__))
         batches = []
         for threads in ("1", "2"):
@@ -516,6 +524,19 @@ class TestRunReplicates:
                            env=env, check=True, timeout=300)
             batches.append(np.load(out))
         assert np.allclose(batches[0], batches[1], rtol=1e-6, atol=0.0)
+
+    def test_batches_cache_keys_by_the_whole_system(self, batches, paper_system):
+        # two systems that differ only in their wavelength draw other fields
+        def at(wavelength):
+            return dataclasses.replace(
+                paper_system,
+                correlation=dataclasses.replace(paper_system.correlation,
+                                                wavelength_m=wavelength),
+                bs_correlation=dataclasses.replace(paper_system.bs_correlation,
+                                                   wavelength_m=wavelength))
+
+        a, b = (batches(at(wavelength), 4, 4, 64) for wavelength in (WAVELENGTH, 0.1))
+        assert not np.array_equal(a.y_samples, b.y_samples)
 
     def test_prefix_stability_within_block(self, paper_system):
         grid = GridSpec(8, 8)
@@ -602,6 +623,13 @@ class TestRunReplicates:
         batch = run_replicates(paper_system, GridSpec(4, 4), 1, 0)
         with pytest.raises(DomainError):
             batch.summaries()
+
+    @pytest.mark.parametrize("y", [
+        np.ones(2), np.array([1.0, math.nan, 2.0]), np.array([1.0, -1.0, 2.0]),
+    ], ids=["length_mismatch", "nan", "negative"])
+    def test_batch_rejects_malformed_samples(self, y):
+        with pytest.raises(DomainError):
+            ReplicateBatch(n=3, snr_samples=np.ones(3), y_samples=y, seed=0)
 
     def test_summaries_recomputable(self, paper_system, batches):
         batch = batches(paper_system, 8, 8, 4000)
