@@ -183,11 +183,14 @@ def rect_distance_pdf(geom: SurfaceGeometry, r):
 
 
 def _hyper_kernel(model, beta_ur: float, r: np.ndarray) -> np.ndarray:
-    """g(r) = (pi beta_ur / 4) * 2F1(-1/2, -1/2; 1; rho(r)^2).
+    """g(r) = (pi beta_ur / 4) * 2F1(-1/2, -1/2; 1; rho(r)^2), the kernel of
+    all three second-moment rules, and their one check of beta_ur.
 
     The squared correlation is clamped to [0, 1] to absorb last-bit
     floating overshoot of the correlation model.
     """
+    if not 0.0 < beta_ur < math.inf:
+        raise DomainError("beta_ur must be positive and finite")
     z = np.clip(np.asarray(model.rho(r), dtype=float) ** 2, 0.0, 1.0)
     return 0.25 * math.pi * beta_ur * gauss_2f1_half(z)
 
@@ -204,8 +207,6 @@ def moment_m2_iso(
     and meets the default :class:`QuadratureSpec` tolerance on the whole
     integral.  Always at least m1^2 up to quadrature error.
     """
-    if not 0.0 < beta_ur < math.inf:
-        raise DomainError("beta_ur must be positive and finite")
     w, h = geom.canonical()
     diag = math.hypot(w, h)
 
@@ -254,9 +255,6 @@ def moment_m2_quad4(
     (L - u_k) L w_k.  The kernel's kink at zero separation lies on the
     corner u = v = 0, where the rule has no node.
     """
-    if not 0.0 < beta_ur < math.inf:
-        raise DomainError("beta_ur must be positive and finite")
-
     def axis(length_m):
         t, w = np.polynomial.legendre.leggauss(_axis_nodes(length_m, model, quad.nodes_4d))
         u = 0.5 * length_m * (t + 1.0)
@@ -275,9 +273,6 @@ def moment_m2_grid(
     centers: cell_area^2 times the kernel summed over all cell pairs.
     Per axis, the offset i L / n occurs in (n - i)(2 - [i = 0]) ordered
     cell pairs."""
-    if not 0.0 < beta_ur < math.inf:
-        raise DomainError("beta_ur must be positive and finite")
-
     def axis(n, length_m):
         i, cell = np.arange(n), length_m / n
         return i * cell, (n - i) * np.where(i > 0, 2.0, 1.0) * cell * cell
@@ -319,9 +314,9 @@ def link_terms(cfg: SystemConfig) -> LinkTerms:
     )
 
 
-def snr_pair(terms: LinkTerms, y: YMoments) -> tuple[float, float]:
-    """Mean and second moment (mu1, mu2) of the optimal SNR from the
-    direct-channel terms and the Y moments.
+def snr_pair(terms: LinkTerms, y: YMoments) -> SnrMoments:
+    """The optimal SNR's mean and second moment, as :class:`SnrMoments`,
+    from the direct-channel terms and the Y moments.
 
     At a^H R a = 0 the term in ||Ra||^2 / a^H R a takes its limit 0, since
     ||Ra||^2 <= lambda_max a^H R a."""
@@ -341,19 +336,19 @@ def snr_pair(terms: LinkTerms, y: YMoments) -> tuple[float, float]:
         + t.m ** 2 * t.beta_rb ** 2 * y.m4
         + 2.0 * t.m * y.m3 * math.sqrt(math.pi * t.beta_d * t.beta_rb ** 3 * quad_r)
         + 4.0 * t.beta_d * t.beta_rb * m2 * quad_r)
-    return mu1, t.gamma ** 2 * bracket
+    return SnrMoments(mu1, t.gamma ** 2 * bracket)
 
 
 def mean_snr(cfg: SystemConfig, m1: float, m2: float) -> float:
     """Mean of the optimal SNR for a full system configuration."""
     # kept for the callers in perfbench/
-    return snr_pair(link_terms(cfg), YMoments(m1, m2))[0]
+    return snr_pair(link_terms(cfg), YMoments(m1, m2)).mu1
 
 
 def second_moment_snr(cfg: SystemConfig, moments: YMoments) -> float:
     """Second moment of the optimal SNR for a full system configuration."""
     # kept for the callers in perfbench/
-    return snr_pair(link_terms(cfg), moments)[1]
+    return snr_pair(link_terms(cfg), moments).mu2
 
 
 def snr_moments(cfg: SystemConfig) -> SnrMoments:
@@ -362,7 +357,7 @@ def snr_moments(cfg: SystemConfig) -> SnrMoments:
     terms = link_terms(cfg)
     m1 = moment_m1(cfg.geometry, terms.beta_ur)
     m2 = moment_m2_iso(cfg.geometry, cfg.correlation, terms.beta_ur)
-    return SnrMoments(*snr_pair(terms, YMoments(m1, m2)))
+    return snr_pair(terms, YMoments(m1, m2))
 
 
 def gamma_fit(mu1: float, mu2: float) -> GammaFit:

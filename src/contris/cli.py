@@ -25,10 +25,12 @@ exponents)::
       "sweep": {"areas_m2": [0.1, 0.2, 0.3, 0.4],
                 "kappas": [0.0, 0.1, 0.5, 1.0],
                 "aspects": [1.0, 20.0],
-                "thresholds_db": [20.0, 21.0, "..."],
+                "thresholds_db": [20.0, 20.5, "...", 40.0],
                 "setups": ["A", "B", "C"]},
-      "output_path": "results.csv"
+      "output_path": null
     }
+
+``output_path`` has no default (null): a scenario run needs it, or ``--out``.
 
 Every default is stated once, in ``default_system()``, ``default_sweep()``
 and the field defaults of :class:`ExperimentConfig`.  One walk over the
@@ -203,15 +205,6 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 # --------------------------------------------------------------------------
 # config loading
 # --------------------------------------------------------------------------
@@ -225,12 +218,6 @@ def _db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         raise ConfigError(f"{db} dB is out of range") from None
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    extra = set(section) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
 
 
 def _section(value, where: str) -> dict:
@@ -273,7 +260,9 @@ def _merge(obj, doc, where: str | None = None):
     section = _section(doc, label)
     # the wavelength comes from system.carrier_hz or system.wavelength_m
     names = {f.name for f in dataclasses.fields(obj)} - {"wavelength_m"}
-    _check_keys(section, names | {f"{name}_db" for name in names & _GAINS}, label)
+    extra = set(section) - names - {f"{name}_db" for name in names & _GAINS}
+    if extra:
+        raise ConfigError(f"unknown keys {sorted(extra)} in {label}")
     changes = {}
     for key, value in section.items():
         at = f"{where}.{key}" if where else key
@@ -521,7 +510,7 @@ def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
 # validation
 # --------------------------------------------------------------------------
 
-def validate(cfg: ExperimentConfig) -> ValidationReport:
+def validate(cfg: ExperimentConfig) -> tuple[CheckResult, ...]:
     """Run the cross-oracle consistency checks on the configured system."""
     checks = []
     system = cfg.system
@@ -596,7 +585,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 
     record("snr_expansion_identity_rel", snr_identity, 1e-10)
 
-    return ValidationReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 # --------------------------------------------------------------------------
@@ -661,13 +650,13 @@ def main(argv=None) -> int:
                                           if value is not None})
 
         if args.validate:
-            report = validate(cfg)
-            for check in report.checks:
+            checks = validate(cfg)
+            for check in checks:
                 status = "PASS" if check.passed else "FAIL"
                 note = f"  ({check.note})" if check.note else ""
                 print(f"[{status}] {check.name}: measured {check.measured:.3e}"
                       f" vs threshold {check.threshold:.3e}{note}")
-            return 0 if report.all_passed else 1
+            return 0 if all(check.passed for check in checks) else 1
 
         if not args.scenario:
             raise ConfigError("--scenario is required unless --validate is given")

@@ -104,6 +104,9 @@ class GridSpec:
         if not all(isinstance(n, numbers.Integral) and 2 <= n <= _MAX_SIDE
                    for n in (self.nx, self.ny)):
             raise DomainError(f"grid point counts must be integers in [2, {_MAX_SIDE}]")
+        # a numpy integer would multiply in its own, possibly narrow, dtype
+        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "ny", int(self.ny))
 
     @property
     def n_points(self) -> int:
@@ -560,6 +563,7 @@ class Oracle:
         An SNR past the floating-point range raises :class:`DomainError`.
         """
         _check_batch(n, seed)
+        n = int(n)  # a numpy integer would overflow in the padding below
         padded = -(-n // _BLOCK) * _BLOCK
         y = np.empty(padded)
         snr = np.empty(padded)
@@ -642,8 +646,11 @@ class EmpiricalCdf:
             raise DomainError("empirical CDF needs at least one sample, and no NaN")
 
     def __call__(self, x):
-        idx = np.searchsorted(self.sorted, np.asarray(x, dtype=float), side="right")
-        out = idx / self.n
+        """P(sample <= x), vectorized in x; NaN raises :class:`DomainError`."""
+        arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise DomainError("the empirical CDF is undefined at NaN")
+        out = np.searchsorted(self.sorted, arr, side="right") / self.n
         return float(out) if np.ndim(x) == 0 else out
 
     def ks_distance(self, cdf) -> float:

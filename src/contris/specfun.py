@@ -256,16 +256,23 @@ def _log_prefactor(a: float, x):
 
 
 # Term limit of the series and continued-fraction loops of P(a, x); both
-# stop at a fixed 1e-15 relative step long before it.
+# stop at a fixed 1e-15 relative step long before it up to a ~ 2e10 (the
+# terms needed near x = a grow as sqrt(a)), and raise on reaching it.
 _MAX_TERMS = 10 ** 6
+
+
+def _unconverged(a: float) -> DomainError:
+    return DomainError(f"reg_lower_gamma did not converge for a = {a} "
+                       f"within {_MAX_TERMS} terms")
 
 
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
     A CDF in x for fixed, finite a > 0: zero at x = 0, nondecreasing, 1 at
-    x = inf.  Raises :class:`DomainError` for x < 0 and for NaN ``a`` or
-    ``x``.  Accepts a scalar ``x`` (returns a float) or an array of any shape.
+    x = inf.  Raises :class:`DomainError` for x < 0, for NaN ``a`` or
+    ``x``, and where a loop below does not converge within its term limit.
+    Accepts a scalar ``x`` (returns a float) or an array of any shape.
 
     Elements with x < a + 1 sum the series of P; the others evaluate the
     continued fraction of the complement Q by the modified Lentz method.
@@ -309,9 +316,8 @@ def _lower_series(a, x, prefactor):
             keep = ~done
             idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
             if not idx.size:
-                break
-    out[idx] = total
-    return np.minimum(1.0, out * prefactor)
+                return np.minimum(1.0, out * prefactor)
+    raise _unconverged(a)
 
 
 def _upper_fraction(a, x, prefactor):
@@ -339,6 +345,5 @@ def _upper_fraction(a, x, prefactor):
             keep = ~done
             idx, b, c, d, h = idx[keep], b[keep], c[keep], d[keep], h[keep]
             if not idx.size:
-                break
-    out[idx] = h
-    return np.maximum(0.0, 1.0 - prefactor * out)
+                return np.maximum(0.0, 1.0 - prefactor * out)
+    raise _unconverged(a)

@@ -157,6 +157,9 @@ class BsArrayConfig:
     def __post_init__(self):
         if not all(isinstance(m, numbers.Integral) and m >= 1 for m in (self.m_x, self.m_z)):
             raise DomainError("antenna counts must be integers >= 1")
+        # a numpy integer would multiply in its own dtype and wrap
+        object.__setattr__(self, "m_x", int(self.m_x))
+        object.__setattr__(self, "m_z", int(self.m_z))
         most = np.iinfo(np.intp).max
         if self.m > most:
             raise DomainError(f"m_x * m_z exceeds {most}, the most antennas numpy can index")

@@ -260,20 +260,20 @@ class TestMomentRecursion:
 class TestSnrMoments:
     def test_mean_direct_only(self):
         terms = unit_terms(gamma=2.0, m=4, beta_d=3.0, beta_rb=0.0)
-        assert snr_pair(terms, YMoments(1.0, 2.0))[0] == pytest.approx(24.0)
+        assert snr_pair(terms, YMoments(1.0, 2.0)).mu1 == pytest.approx(24.0)
 
     def test_mean_unit_corner(self):
-        assert snr_pair(unit_terms(), YMoments(1.0, 2.0))[0] == pytest.approx(
+        assert snr_pair(unit_terms(), YMoments(1.0, 2.0)).mu1 == pytest.approx(
             MEAN_SNR_UNIT_CORNER, rel=1e-14)
 
     def test_second_moment_direct_only(self):
         # an array of two antennas: tr(R) = 2, and tr(R^2) lies in [2, 4]
         terms = unit_terms(gamma=2.0, m=2, beta_d=3.0, beta_rb=0.0, tr_r2=3.0)
-        assert snr_pair(terms, YMoments(1.0, 2.0))[1] == pytest.approx(
+        assert snr_pair(terms, YMoments(1.0, 2.0)).mu2 == pytest.approx(
             4.0 * 9.0 * (3.0 + 4.0))
 
     def test_second_moment_unit_corner(self):
-        assert snr_pair(unit_terms(), YMoments(1.0, 2.0))[1] == pytest.approx(
+        assert snr_pair(unit_terms(), YMoments(1.0, 2.0)).mu2 == pytest.approx(
             MU2_UNIT_CORNER, rel=1e-14)
 
     def test_config_level_second_moment_inequality(self):
@@ -281,7 +281,7 @@ class TestSnrMoments:
         gains = derive_gains(system)
         m1 = moment_m1(system.geometry, gains.beta_ur)
         m2 = moment_m2_iso(system.geometry, system.correlation, gains.beta_ur)
-        mu1, mu2 = snr_pair(link_terms(system), YMoments(m1, m2))
+        mu1, mu2 = dataclasses.astuple(snr_pair(link_terms(system), YMoments(m1, m2)))
         assert mu1 == mean_snr(system, m1, m2)
         assert mu2 >= mu1 ** 2
 

@@ -408,13 +408,13 @@ class TestValidate:
         # which a per-interval tolerance cannot resolve
         for aspect in (1.0, 50.0):
             system = cli._point(default_system(), area=0.4, aspect=aspect)
-            report = validate(tiny_config(system=system, replicates=400))
-            assert report.all_passed, aspect
-            names = {c.name for c in report.checks}
+            checks = validate(tiny_config(system=system, replicates=400))
+            assert all(c.passed for c in checks), aspect
+            names = {c.name for c in checks}
             assert {"m2_iso_vs_quad4_rel", "distance_pdf_normalization",
                     "mean_y_exactness_z", "jensen_dominance_slack",
                     "gamma_fit_round_trip_rel", "snr_expansion_identity_rel"} <= names
-            for check in report.checks:
+            for check in checks:
                 json.dumps(dataclasses.asdict(check))
 
     def test_identity_check_reads_the_replicate_loop(self, monkeypatch):
@@ -423,7 +423,7 @@ class TestValidate:
         score = mcsim.Oracle.snr
         monkeypatch.setattr(mcsim.Oracle, "snr",
                             lambda self, *args: score(self, *args) * (1.0 + 1e-8))
-        checks = {c.name: c for c in validate(tiny_config(replicates=400)).checks}
+        checks = {c.name: c for c in validate(tiny_config(replicates=400))}
         identity = checks["snr_expansion_identity_rel"]
         assert not identity.passed
         assert identity.measured == pytest.approx(1e-8, rel=1e-3)
@@ -436,7 +436,7 @@ class TestValidate:
         clipped_eigh = mcsim.clipped_eigh
         monkeypatch.setattr(mcsim, "clipped_eigh", lambda matrix: (
             calls.append(matrix.shape), clipped_eigh(matrix))[1])
-        assert validate(tiny_config(replicates=400)).all_passed
+        assert all(c.passed for c in validate(tiny_config(replicates=400)))
         assert calls == [(32, 32)]
 
     def test_batch_and_identity_check_share_one_factor(self, monkeypatch):
@@ -453,7 +453,7 @@ class TestValidate:
         monkeypatch.setattr(mcsim, "build_surface_covariance",
                             lambda *args: builds.append(args) or build(*args))
         monkeypatch.setattr(mcsim.Oracle, "batch", recorded)
-        assert validate(cfg).all_passed
+        assert all(c.passed for c in validate(cfg))
         assert len(builds) == 1
         (oracle, batch), = batches
         system, grid = oracle.cfg, oracle.sampler.grid
@@ -468,11 +468,10 @@ class TestValidate:
             raise QuadratureFailure("tolerance unreachable")
 
         monkeypatch.setattr(cli, "moment_m2_iso", unreachable)
-        report = validate(tiny_config(replicates=400))
-        failed = {c.name: c for c in report.checks if not c.passed}
+        checks = validate(tiny_config(replicates=400))
+        failed = {c.name: c for c in checks if not c.passed}
         assert "m2_iso_vs_quad4_rel" in failed
         assert "QuadratureFailure" in failed["m2_iso_vs_quad4_rel"].note
-        assert not report.all_passed
 
 
 class TestMain:
@@ -599,9 +598,9 @@ class TestMain:
                          "table1", "--out", "x.csv"]) == 2
 
     def test_validation_failure_exit_code(self, monkeypatch):
-        from contris.cli import CheckResult, ValidationReport
-        monkeypatch.setattr(cli, "validate", lambda cfg: ValidationReport(
-            checks=(CheckResult("x", 1.0, 0.5, False),)))
+        from contris.cli import CheckResult
+        monkeypatch.setattr(cli, "validate", lambda cfg: (
+            CheckResult("x", 1.0, 0.5, False),))
         assert cli.main(["--validate"]) == 1
 
     def test_validate_exit_ok(self, tmp_path):

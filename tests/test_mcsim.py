@@ -118,6 +118,14 @@ class TestGrid:
     def test_numpy_integer_counts_accepted(self):
         assert GridSpec(np.int64(3), np.int32(4)).n_points == 12
 
+    @pytest.mark.parametrize("side", [np.int8(100), np.uint8(255), np.int16(256)],
+                             ids=["int8", "uint8", "int16"])
+    def test_numpy_integer_counts_multiply_exactly(self, side):
+        # the product leaves the sides' own dtype; a warning fails the test
+        grid = GridSpec(side, side)
+        assert grid.n_points == int(side) ** 2
+        assert grid.cell_area(SurfaceGeometry(1.0, 1.0)) == 1.0 / int(side) ** 2
+
     def test_suggest_grid_resolves_correlation(self):
         geom = SurfaceGeometry(2.0, 0.1)
         grid = suggest_grid(geom, jakes(1.0))
@@ -538,6 +546,14 @@ class TestRunReplicates:
         a, b = (batches(at(wavelength), 4, 4, 64) for wavelength in (WAVELENGTH, 0.1))
         assert not np.array_equal(a.y_samples, b.y_samples)
 
+    # the count pads to a whole block of 256, past either dtype
+    @pytest.mark.parametrize("n", [np.int8(100), np.uint8(200)], ids=["int8", "uint8"])
+    def test_numpy_integer_count(self, paper_system, n):
+        a = run_replicates(paper_system, GridSpec(4, 4), n, 42)
+        b = run_replicates(paper_system, GridSpec(4, 4), int(n), 42)
+        assert np.array_equal(a.snr_samples, b.snr_samples)
+        assert np.array_equal(a.y_samples, b.y_samples)
+
     def test_prefix_stability_within_block(self, paper_system):
         grid = GridSpec(8, 8)
         short = run_replicates(paper_system, grid, 40, 42)
@@ -692,7 +708,9 @@ class TestEmpiricalCdf:
     lambda system: Oracle.build(system, GridSpec(4, 4)).snr(
         np.zeros((32, 2), dtype=complex), np.array([1e-4, math.nan])),
     lambda system: EmpiricalCdf(np.array([1.0, math.nan, 2.0])),
-], ids=["beta_ur_inf", "block_with_negative_y", "block_with_nan_y", "ecdf_nan"])
+    lambda system: EmpiricalCdf(np.array([1.0, 2.0]))(math.nan),
+], ids=["beta_ur_inf", "block_with_negative_y", "block_with_nan_y", "ecdf_nan",
+        "ecdf_at_nan"])
 def test_out_of_domain_inputs_rejected(paper_system, call):
     with pytest.raises(DomainError):
         call(paper_system)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contris import specfun
 from contris.errors import DomainError
 from contris.specfun import (
     GAUSS_2F1_AT_ONE,
@@ -202,7 +203,8 @@ class TestRegLowerGamma:
         assert all(b >= c - 1e-13 for b, c in zip(vals[1:], vals[:-1]))
         assert vals[-1] >= 1.0 - 1e-8
 
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 17.0, 250.0])
+    # 437 is about the largest gamma shape the default sweep fits
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 17.0, 250.0, 437.0, 1000.0])
     def test_array_against_mpmath(self, a):
         xs = np.concatenate([
             np.linspace(0.0, a + 40.0 * math.sqrt(a), 300),
@@ -218,6 +220,19 @@ class TestRegLowerGamma:
         assert out.shape == xs.shape
         assert np.array_equal(out, [[reg_lower_gamma(a, float(x)) for x in row] for row in xs])
         assert isinstance(reg_lower_gamma(a, 1.0), float)
+
+    # P(100, 100) sums 90 series terms; P(100, 101.5) takes 39 fraction steps
+    @pytest.mark.parametrize("x", [100.0, 101.5], ids=["series", "fraction"])
+    def test_unconverged_loop_raises(self, monkeypatch, x):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 20)
+        with pytest.raises(DomainError, match="a = 100.0 within 20 terms"):
+            reg_lower_gamma(100.0, x)
+
+    def test_converged_loop_unchanged_under_term_limit(self, monkeypatch):
+        # 13 series terms at P(1, 0.5), 14 at P(0.5, 0.5)
+        expected = [reg_lower_gamma(1.0, 0.5), reg_lower_gamma(0.5, 0.5)]
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 20)
+        assert [reg_lower_gamma(1.0, 0.5), reg_lower_gamma(0.5, 0.5)] == expected
 
     def test_at_infinity(self):
         assert reg_lower_gamma(2.0, math.inf) == 1.0

@@ -213,7 +213,7 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize("kwargs", [
         {"m_x": 0}, {"m_x": 0.5}, {"m_z": 2.0}, {"spacing_wavelengths": math.inf},
-        {"m_x": 10 ** 20},
+        {"m_x": 10 ** 20}, {"m_x": np.int64(2 ** 40), "m_z": np.int64(2 ** 40)},
     ])
     def test_invalid_counts_and_spacing(self, kwargs):
         with pytest.raises(DomainError):
