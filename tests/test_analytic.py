@@ -131,6 +131,13 @@ class TestMomentM2:
         m2 = moment_m2_quad4(geom, ZeroCorrelation(), BETA_UR)
         assert m2 == pytest.approx(m1 ** 2, rel=1e-12)
 
+    def test_quad4_white_field_at_overflowing_kappa(self):
+        # 5 kappa L / lambda overflows, so the node count takes its cap; the
+        # correlation is 0 at every node and the field is white
+        geom = SurfaceGeometry(math.sqrt(0.4), math.sqrt(0.4))
+        m2 = moment_m2_quad4(geom, jakes(1e307), 1.0)
+        assert m2 == pytest.approx(moment_m1(geom, 1.0) ** 2, rel=1e-12)
+
     def test_cross_oracle_agreement(self):
         geom = SurfaceGeometry(0.6, 0.3)
         iso = moment_m2_iso(geom, jakes(1.0), BETA_UR)

@@ -563,6 +563,20 @@ class TestMain:
         assert code == 2
         assert "config error" in err and "transmit_snr" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["jakes", "sinc"])
+    def test_overflowing_kappa_prints_every_check(self, tmp_path, capsys, kind):
+        # kappa r / lambda overflows: both kernels take their limit 0 and the
+        # node count its cap, so every check runs and prints its line
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": {"correlation": {"kind": kind, "kappa": 1e307}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--config", str(path), "--validate", "--grid", "8x8",
+                             "--replicates", "400"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert len(out.splitlines()) == 6 and "Traceback" not in err
+
     # sizes numpy cannot index, a grid side below 2, and surfaces whose area
     # leaves (0, inf) although each side is positive and finite: each is
     # rejected before anything is allocated

@@ -570,6 +570,14 @@ class TestRunReplicates:
         assert np.array_equal(short.snr_samples, long.snr_samples[:n_short])
         assert np.array_equal(short.y_samples, long.y_samples[:n_short])
 
+    def test_sinc_at_overflowing_kappa(self, paper_system):
+        # 2 kappa r / lambda overflows; sinc takes its limit 0 there, so the
+        # surface covariance is the identity
+        system = dataclasses.replace(paper_system, correlation=sinc_model(1e307))
+        batch = run_replicates(system, GridSpec(8, 8), 256, 5)
+        assert np.all(np.isfinite(batch.y_samples))
+        assert np.all(np.isfinite(batch.snr_samples))
+
     def test_seed_changes_samples(self, paper_system):
         grid = GridSpec(8, 8)
         a = run_replicates(paper_system, grid, 50, 1)

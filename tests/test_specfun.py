@@ -61,6 +61,17 @@ class TestSincNorm:
         assert sinc_norm(x) == sinc_norm(-x)
         assert abs(sinc_norm(x)) <= 1.0 + 1e-15
 
+    def test_integral_arguments_and_infinity(self):
+        # every float of magnitude 2^52 and above is an integer, where
+        # sin(pi x) = 0; np.sinc returns NaN once pi x overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sinc_norm([math.inf, -math.inf, 2.0 ** 52, -3e300])
+        assert np.array_equal(out, np.zeros(4))
+        xs = np.linspace(-2.0 ** 52, 2.0 ** 52, 1001)[1:-1]
+        assert np.array_equal(sinc_norm(xs), np.sinc(xs))
+        assert math.isnan(sinc_norm(math.nan))
+
 
 class TestBesselJ0:
     def test_at_zero(self):
@@ -203,15 +214,30 @@ class TestRegLowerGamma:
         assert all(b >= c - 1e-13 for b, c in zip(vals[1:], vals[:-1]))
         assert vals[-1] >= 1.0 - 1e-8
 
-    # 437 is about the largest gamma shape the default sweep fits
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 17.0, 250.0, 437.0, 1000.0])
+    # 437 is about the largest gamma shape the default sweep fits; 9.5 and
+    # 10 lie either side of the switch to Stirling's series
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7, 9.5, 10.0, 17.0, 250.0, 437.0, 1000.0])
     def test_array_against_mpmath(self, a):
         xs = np.concatenate([
             np.linspace(0.0, a + 40.0 * math.sqrt(a), 300),
             a * np.logspace(-6.0, 0.5, 200)])
         with mp.workdps(40):
             ref = np.array([float(mp.gammainc(a, 0, x, regularized=True)) for x in xs])
-        assert np.max(np.abs(reg_lower_gamma(a, xs) - ref)) <= 2e-13
+        assert np.max(np.abs(reg_lower_gamma(a, xs) - ref)) <= 5e-15
+
+    def test_stirling_coefficients(self):
+        # B_2k / (2k (2k - 1)), k = 1..7, each rounded to double
+        for k, coef in enumerate(specfun._STIRLING, start=1):
+            with mp.workdps(40):
+                ref = float(mp.bernoulli(2 * k) / (2 * k * (2 * k - 1)))
+            assert abs(coef - ref) <= math.ulp(ref), k
+
+    def test_near_float_maximum(self):
+        # (x - a) / a overflows for a < 1 unless clipped before log1p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reg_lower_gamma(0.3, 1e308) == 1.0
+            assert reg_lower_gamma(5.0, 1.7e308) == 1.0
 
     @pytest.mark.parametrize("a", [0.3, 2.7, 250.0])
     def test_array_matches_scalar_calls(self, a):

@@ -176,6 +176,13 @@ class TestCorrelationAt:
         lo, hi = jakes(0.5).rho(rs), jakes(1.0).rho(rs)
         assert np.all(hi <= lo + 1e-12)
 
+    @pytest.mark.parametrize("model", [jakes(1e307), sinc_model(1e307)], ids=["jakes", "sinc"])
+    def test_overflowing_argument_takes_the_limit(self, model):
+        # kappa r / lambda overflows to inf, where both kernels are 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(model.rho([0.0, 1.0]), [1.0, 0.0])
+
     def test_invalid_parameters(self):
         for kappa, wavelength in ((-0.1, WAVELENGTH), (1.0, 0.0), (math.nan, WAVELENGTH),
                                   (math.inf, WAVELENGTH), (1.0, math.inf)):
