@@ -146,40 +146,30 @@ def moment_m1(geom: SurfaceGeometry, beta_ur: float) -> float:
 def rect_distance_pdf(geom: SurfaceGeometry, r):
     """Density of the distance between two uniform points in the rectangle.
 
-    Piecewise on [0, H), [H, W), [W, sqrt(W^2 + H^2)] with the long/short
-    sides taken in canonical order; zero outside the support; continuous at
-    the breakpoints.  Vectorized in r; raises :class:`DomainError` for NaN.
+    One expression on (0, sqrt(W^2 + H^2)], zero elsewhere, with W >= H the
+    canonical sides; it equals the classical branches on [0, H), [H, W) and
+    [W, sqrt(W^2 + H^2)].  W (sqrt(r^2 - H^2) - r) is taken as
+    -W H^2 / (sqrt(r^2 - H^2) + r) and the angles by atan2, so no large
+    terms cancel and the kinks at H and W are well conditioned.
+    Vectorized in r; raises :class:`DomainError` for NaN.
     """
     w, h = geom.canonical()
     arr = np.asarray(r, dtype=float)
     if np.isnan(arr).any():
         raise DomainError("r must not be NaN")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     out = np.zeros(arr.shape)
-    diag = math.hypot(w, h)
-    norm = 4.0 / (w * w * h * h)
-
-    near = (arr >= 0.0) & (arr < h)
-    r1 = arr[near]
-    out[near] = norm * r1 * (0.5 * math.pi * w * h - (w + h) * r1 + 0.5 * r1 * r1)
-
-    mid = (arr >= h) & (arr < w)
-    r2 = arr[mid]
-    out[mid] = norm * r2 * (
-        w * h * np.arcsin(h / r2) - w * r2
-        + w * np.sqrt(r2 * r2 - h * h) - 0.5 * h * h)
-
-    far = (arr >= w) & (arr <= diag)
-    r3 = arr[far]
-    out[far] = norm * r3 * (
-        w * h * (np.arcsin(np.minimum(h / r3, 1.0)) - np.arccos(np.minimum(w / r3, 1.0)))
-        - 0.5 * (w * w + h * h)
-        + w * np.sqrt(np.maximum(r3 * r3 - h * h, 0.0))
-        - 0.5 * r3 * r3
-        + h * np.sqrt(np.maximum(r3 * r3 - w * w, 0.0)))
-
-    return float(out[0]) if scalar else out
+    support = (arr > 0.0) & (arr <= math.hypot(w, h))
+    x = arr[support]
+    m = np.minimum(x, h)
+    # sqrt(r^2 - s^2) clipped at 0, as a product of roots so that r^2
+    # cannot overflow
+    rho_h = np.sqrt(np.maximum(x - h, 0.0)) * np.sqrt(x + h)
+    rho_w = np.sqrt(np.maximum(x - w, 0.0)) * np.sqrt(x + w)
+    out[support] = 4.0 / (w * h) ** 2 * x * (
+        w * h * (np.arctan2(h, rho_h) - np.arctan2(rho_w, w))
+        - w * m * m / (rho_h + x) + h * rho_w - 0.5 * m * m
+        - np.maximum(h - x, 0.0) * x - 0.5 * np.maximum(x - w, 0.0) ** 2)
+    return out if out.ndim else float(out)
 
 
 def _hyper_kernel(model, beta_ur: float, r: np.ndarray) -> np.ndarray:

@@ -31,6 +31,8 @@ exponents)::
     }
 
 ``output_path`` has no default (null): a scenario run needs it, or ``--out``.
+``setups`` names fig5's layout presets A, B and C (``SETUPS``); ``"custom"``
+keeps the configured ``link`` distances instead.
 
 Every default is stated once, in ``default_system()``, ``default_sweep()``
 and the field defaults of :class:`ExperimentConfig`.  One walk over the

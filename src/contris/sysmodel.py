@@ -102,18 +102,24 @@ class IsotropicCorrelation:
     def __post_init__(self):
         if not isinstance(self.kind, CorrelationKind):
             raise DomainError(f"kind must be a CorrelationKind, got {self.kind!r}")
-        if not 0.0 <= self.kappa < math.inf:
-            raise DomainError("kappa must be finite and >= 0")
+        # an infinite kernel scale would make rho(0) inf * 0
+        if not (0.0 <= self.kappa and self._scale < math.inf):
+            raise DomainError(f"kappa must be >= 0 with a finite {self.kind.value} "
+                              f"kernel scale, got {self.kappa!r}")
         if not 0.0 < self.wavelength_m < math.inf:
             raise DomainError("wavelength must be positive and finite")
 
+    @property
+    def _scale(self) -> float:
+        """The kernel argument per wavelength: 2 kappa (sinc), 2 pi kappa (Jakes)."""
+        kappa = float(self.kappa)  # a Python float overflows without a warning
+        return 2.0 * kappa if self.kind is CorrelationKind.SINC else 2.0 * math.pi * kappa
+
     def rho(self, r_m):
         """Correlation coefficient at separation r_m (meters); vectorized."""
-        sinc = self.kind is CorrelationKind.SINC
         with np.errstate(over="ignore"):  # both kernels take their limit at inf
-            d = np.asarray(r_m, dtype=float) / self.wavelength_m
-            arg = (2.0 * self.kappa if sinc else 2.0 * math.pi * self.kappa) * d
-        out = sinc_norm(arg) if sinc else bessel_j0(arg)
+            arg = self._scale * (np.asarray(r_m, dtype=float) / self.wavelength_m)
+        out = sinc_norm(arg) if self.kind is CorrelationKind.SINC else bessel_j0(arg)
         return out if np.ndim(r_m) else float(out)
 
 

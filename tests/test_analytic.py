@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from contris.analytic import (
     snr_pair,
 )
 from contris.cli import default_system
-from contris.errors import DomainError
+from contris.errors import DomainError, QuadratureFailure
 from contris.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from contris.specfun import gauss_2f1_half
 from contris.sysmodel import (
@@ -108,6 +110,54 @@ class TestRectDistancePdf:
         wide = SurfaceGeometry(1.3, 0.7)
         rs = np.linspace(0.0, wide.diagonal_m, 57)
         assert np.allclose(rect_distance_pdf(tall, rs), rect_distance_pdf(wide, rs))
+
+    # the default square, test_normalization's rectangle, strips up to 1e6:1
+    # and a side whose square overflows
+    ASPECTS = [(math.sqrt(0.4), math.sqrt(0.4)), (1.3, 0.7), (20.0, 1.0), (100.0, 1.0),
+               (1e4, 1.0), (1e6, 1.0), (1e160, 1e-100)]
+
+    @staticmethod
+    def mp_pdf(w, h, r):
+        """The three classical branches, zero past the diagonal.  W (sqrt(r^2
+        - H^2) - r) loses (H/W)^2 of its size, so the digits grow with it."""
+        with mp.workdps(60 + 2 * math.ceil(math.log10(w / h))):
+            w, h, r = mp.mpf(w), mp.mpf(h), mp.mpf(r)
+            if r < h:
+                inner = mp.pi / 2 * w * h - (w + h) * r + r * r / 2
+            elif r < w:
+                inner = w * h * mp.asin(h / r) - w * r + w * mp.sqrt(r * r - h * h) - h * h / 2
+            elif r * r < w * w + h * h:
+                inner = (w * h * (mp.asin(h / r) - mp.acos(w / r)) - (w * w + h * h + r * r) / 2
+                         + w * mp.sqrt(r * r - h * h) + h * mp.sqrt(r * r - w * w))
+            else:
+                inner = 0
+            return float(4 * r / (w * h) ** 2 * inner)
+
+    @pytest.mark.parametrize("sides", ASPECTS, ids=[f"{w / h:g}to1" for w, h in ASPECTS])
+    def test_against_mpmath(self, sides):
+        # within 1e-12 relative of both kinks, at the diagonal and at the
+        # smallest subnormal, no large terms cancel
+        geom = SurfaceGeometry(*sides)
+        w, h = geom.canonical()
+        rs = np.concatenate([
+            np.linspace(0.0, geom.diagonal_m, 201)[1:],
+            np.outer([h, w], 1.0 + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-12])).ravel(),
+            [geom.diagonal_m, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = rect_distance_pdf(geom, rs)
+        exact = np.array([self.mp_pdf(w, h, r) for r in rs])
+        assert np.max(np.abs(f - exact)) <= 1e-14 * np.max(exact)
+
+    @pytest.mark.parametrize("sides", ASPECTS, ids=[f"{w / h:g}to1" for w, h in ASPECTS])
+    def test_normalization_on_every_aspect(self, sides):
+        geom = SurfaceGeometry(*sides)
+        w, h = geom.canonical()
+        total, _ = adaptive_gauss_kronrod(
+            lambda r: rect_distance_pdf(geom, r),
+            [0.0, h, w, geom.diagonal_m],
+            QuadratureSpec(rel_tol=1e-12))
+        assert abs(total - 1.0) <= 1e-14
 
 
 class TestMomentM2:
@@ -221,6 +271,17 @@ class TestMomentM2:
         finer = moment_m2_quad4(geom, model, BETA_UR, QuadratureSpec(nodes_4d=64))
         assert abs(brute - moment_m2_iso(geom, model, BETA_UR)) <= 1e-6 * brute
         assert abs(brute - finer) <= 1e-6 * brute
+
+    def test_extreme_aspect_keeps_m2_above_m1_squared(self):
+        # a 0.4 m^2 surface of aspect 1e300: the density's middle interval
+        # spans 300 decades, and m2 must not lose m1^2 to cancellation
+        geom = SurfaceGeometry(math.sqrt(0.4e300), math.sqrt(0.4e-300))
+        m1 = moment_m1(geom, BETA_UR)
+        try:
+            m2 = moment_m2_iso(geom, jakes(1.0), BETA_UR)
+        except QuadratureFailure:
+            return
+        assert m2 >= m1 ** 2 * (1.0 - 1e-8)
 
     def test_decorrelation_shrinks_m2(self):
         geom = SurfaceGeometry(math.sqrt(0.2), math.sqrt(0.2))

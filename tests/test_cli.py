@@ -417,6 +417,18 @@ class TestValidate:
             for check in checks:
                 json.dumps(dataclasses.asdict(check))
 
+    @pytest.mark.parametrize("sides", [(10.0, 0.04), (100.0, 0.004)],
+                             ids=["250to1", "25000to1"])
+    def test_thin_strip_passes(self, tmp_path, capsys, sides):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"system": {"geometry": {"width_m": sides[0], "height_m": sides[1]}}}))
+        code = cli.main(["--config", str(path), "--validate", "--grid", "8x8",
+                         "--replicates", "400"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 6 and all(line.startswith("[PASS]") for line in lines)
+
     def test_identity_check_reads_the_replicate_loop(self, monkeypatch):
         # the check compares the batch's own SNR samples with the norm form,
         # so a 1e-8 error in the loop's scoring must fail it
@@ -576,6 +588,20 @@ class TestMain:
         out, err = capsys.readouterr()
         assert code == 1
         assert len(out.splitlines()) == 6 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["correlation", "bs_correlation"])
+    @pytest.mark.parametrize("kind, kappa", [("sinc", 1e308), ("jakes", 3e307)],
+                             ids=["sinc", "jakes"])
+    def test_overflowing_kernel_scale_exits_2(self, tmp_path, capsys, key, kind, kappa):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": {key: {"kind": kind, "kappa": kappa}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--config", str(path), "--validate", "--grid", "8x8",
+                             "--replicates", "400"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and "kappa" in err and "Traceback" not in err
 
     # sizes numpy cannot index, a grid side below 2, and surfaces whose area
     # leaves (0, inf) although each side is positive and finite: each is

@@ -183,6 +183,17 @@ class TestCorrelationAt:
             warnings.simplefilter("error")
             assert np.array_equal(model.rho([0.0, 1.0]), [1.0, 0.0])
 
+    @pytest.mark.parametrize("kind, kappa", [(CorrelationKind.SINC, 1e308),
+                                             (CorrelationKind.JAKES, 3e307)],
+                             ids=["sinc", "jakes"])
+    def test_overflowing_scale_rejected(self, kind, kappa):
+        # 2 kappa (sinc) or 2 pi kappa (Jakes) past the float range would make
+        # rho(0) inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="kappa"):
+                IsotropicCorrelation(kind, kappa, WAVELENGTH)
+
     def test_invalid_parameters(self):
         for kappa, wavelength in ((-0.1, WAVELENGTH), (1.0, 0.0), (math.nan, WAVELENGTH),
                                   (math.inf, WAVELENGTH), (1.0, math.inf)):
